@@ -1,7 +1,14 @@
 #!/usr/bin/env bash
-# End-to-end smoke test for the TCP serving layer: start pivotscale_served
-# on a loopback port, drive it with pivotscale_loadgen over concurrent
-# connections, and check three properties:
+# End-to-end smoke test for pivotscale_served in both of its modes.
+#
+# stdin/stdout mode (no --port): pipe one batch of 12 mixed-k queries
+# through it and check
+#   0. every count matches a standalone pivotscale_cli run at that k, the
+#      batch ran no pipeline phase (no heuristic/ordering/directionalize
+#      in the telemetry) and exactly one counting run answered all 12.
+#
+# TCP mode: start it on a loopback port, drive it with pivotscale_loadgen
+# over concurrent connections, and check
 #   1. correctness — every count returned over the wire is bit-identical
 #      to a standalone pivotscale_cli run at the same k;
 #   2. overload — with --queue-depth 1 and a cold cache, excess batches
@@ -49,6 +56,61 @@ wait_for_port() {
 }
 
 fail=0
+
+# ---- Phase 0: stdin mode ---------------------------------------------------
+# One batch of mixed-k queries, with repeats, ids = k for correlation.
+ks="3 4 5 6 7 8"
+batch="$tmp/batch.ndjson"
+: > "$batch"
+for k in $ks $ks; do
+  printf '{"id":%d,"graph":"%s","k":%d}\n' "$k" "$tmp/demo.psx" "$k" \
+    >> "$batch"
+done
+"$served" --telemetry-json "$tmp/stdin_report.json" < "$batch" \
+  > "$tmp/responses.ndjson"
+
+for k in $ks; do
+  ref="$("$cli" --graph "$tmp/demo.psg" --k "$k" \
+        | sed -n "s/^${k}-cliques: //p")"
+  line="$(grep "\"id\":${k}," "$tmp/responses.ndjson" | head -n 1)"
+  got="$(printf '%s' "$line" | sed -n 's/.*"count":"\([0-9]*\)".*/\1/p')"
+  if [[ "$line" != *'"ok":true'* || -z "$got" || "$got" != "$ref" ]]; then
+    echo "loadgen_smoke: stdin MISMATCH at k=$k: cli=$ref served=${got:-<none>}" >&2
+    echo "  response line: ${line:-<missing>}" >&2
+    fail=1
+  else
+    echo "loadgen_smoke: stdin k=$k count=$got (matches cli)"
+  fi
+done
+lines="$(wc -l < "$tmp/responses.ndjson")"
+if [[ "$lines" -ne 12 ]]; then
+  echo "loadgen_smoke: stdin mode gave $lines response lines, expected 12" >&2
+  fail=1
+fi
+# Served counts start from the stored DAG: the report has service.* and
+# count.* records but none from a pipeline phase, and one counting run
+# covered all twelve queries.
+report="$tmp/stdin_report.json"
+for phase in heuristic ordering directionalize; do
+  if grep -q "$phase" "$report"; then
+    echo "loadgen_smoke: stdin telemetry unexpectedly mentions '$phase'" >&2
+    fail=1
+  fi
+done
+if ! grep -q '"service.count_runs":1\b' "$report"; then
+  echo "loadgen_smoke: expected exactly one counting run; report says:" >&2
+  grep -o '"service\.[a-z_]*":[0-9]*' "$report" >&2 || true
+  fail=1
+fi
+if ! "$served" < /dev/null > /dev/null; then
+  echo "loadgen_smoke: stdin mode on empty input exited non-zero" >&2
+  fail=1
+fi
+if "$served" --workers 2 < /dev/null > /dev/null 2>&1; then
+  echo "loadgen_smoke: stdin mode accepted the TCP-only --workers" >&2
+  fail=1
+fi
+echo "loadgen_smoke: stdin mode done (one counting run for 12 queries)"
 
 # ---- Phase 1: correctness under concurrency --------------------------------
 "$served" --port 0 --port-file "$tmp/port" --workers 2 --queue-depth 64 \
@@ -137,4 +199,5 @@ if [[ "$fail" -ne 0 ]]; then
   echo "loadgen_smoke: FAILED" >&2
   exit 1
 fi
-echo "loadgen_smoke: OK (counts match, overload sheds, drain is clean)"
+echo "loadgen_smoke: OK (stdin and TCP counts match, overload sheds," \
+     "drain is clean)"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
 #include "exec/thread_budget.h"
 #include "service/protocol.h"
@@ -9,6 +10,36 @@
 #include "util/telemetry.h"
 
 namespace pivotscale {
+
+std::optional<NetRequest> ParseNetLine(const FramedLine& line,
+                                       std::size_t max_line_bytes) {
+  NetRequest req;
+  if (line.oversized) {
+    req.parse_error =
+        "line exceeds " + std::to_string(max_line_bytes) + " bytes";
+    return req;
+  }
+  if (line.text.empty()) return std::nullopt;
+  try {
+    ProtocolRequest parsed = ParseRequest(line.text);
+    req.parsed = true;
+    req.id = parsed.id;
+    req.query = std::move(parsed.query);
+    if (parsed.deadline_ms >= 0) {
+      using Clock = std::chrono::steady_clock;
+      const Clock::time_point now = Clock::now();
+      // The largest offset that still fits: beyond it, now + offset would
+      // overflow the clock's signed tick count.
+      const auto headroom = std::chrono::duration_cast<
+          std::chrono::milliseconds>(Clock::time_point::max() - now);
+      if (parsed.deadline_ms < headroom.count())
+        req.deadline = now + std::chrono::milliseconds(parsed.deadline_ms);
+    }
+  } catch (const std::exception& e) {
+    req.parse_error = e.what();
+  }
+  return req;
+}
 
 std::string ServeNetBatch(QueryEngine& engine,
                           std::vector<NetRequest>& requests,

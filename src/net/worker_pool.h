@@ -1,10 +1,12 @@
 // Fixed worker pool behind a bounded admission queue: the counting half
 // of the TCP serving layer.
 //
-// The epoll thread (src/net/event_loop.*) parses request lines and
-// submits whole batches here; workers run them through a shared
-// QueryEngine and hand the serialized NDJSON response block to a
-// completion callback. Two properties carry the load-shedding story:
+// The epoll thread (src/net/event_loop.*) turns request lines into
+// NetRequests with ParseNetLine and submits whole batches here; workers
+// run them through a shared QueryEngine (ServeNetBatch) and hand the
+// serialized NDJSON response block to a completion callback. The stdin
+// front end (src/net/stream.*) calls the same two functions inline. Two
+// properties carry the load-shedding story:
 //
 //  * Admission is TrySubmit, never blocking. When `queue_depth` batches
 //    are already waiting the submit fails and the caller answers every
@@ -31,17 +33,19 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "net/framer.h"
 #include "service/query_engine.h"
 
 namespace pivotscale {
 
 class TelemetryRegistry;
 
-// One request line of a batch, as admitted by the I/O thread. Lines that
+// One request line of a batch, as read by a front end. Lines that
 // failed parsing (or were oversized) ride along unparsed so the response
 // block preserves request order.
 struct NetRequest {
@@ -54,6 +58,14 @@ struct NetRequest {
       std::chrono::steady_clock::time_point::max();
 };
 
+// Turns one framed line into the request it carries: a parse error or an
+// oversized line becomes an unparsed request that answers with its error
+// (id -1), and "deadline_ms" becomes an absolute deadline counted from
+// now, saturating to "no deadline" where the sum would overflow the
+// clock. Returns nullopt for the blank line that flushes the batch.
+std::optional<NetRequest> ParseNetLine(const FramedLine& line,
+                                       std::size_t max_line_bytes);
+
 // A flushed batch from one connection.
 struct NetBatch {
   std::uint64_t connection_id = 0;
@@ -64,8 +76,8 @@ struct NetBatch {
 // serialized NDJSON line per request, each '\n'-terminated, in request
 // order. Parse errors become error lines; parsed requests are grouped by
 // graph (the engine dedups each group into at most one counting run) with
-// the deadline check at every group boundary. Exposed standalone so the
-// stdin server and tests reuse the exact network semantics.
+// the deadline check at every group boundary. The worker pool and the
+// stdin front end (ServeStream) both answer batches through it.
 std::string ServeNetBatch(QueryEngine& engine,
                           std::vector<NetRequest>& requests,
                           TelemetryRegistry* telemetry);

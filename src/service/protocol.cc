@@ -10,12 +10,17 @@ namespace pivotscale {
 
 namespace {
 
-// Integral-number extraction with range checks: telemetry-grade doubles
-// are exact up to 2^53, far beyond any valid id/k/top.
+// Integral-number extraction. JSON numbers are doubles, exact up to 2^53;
+// anything larger (or infinite) is rejected before the cast, which would
+// be undefined behaviour for values outside int64_t.
 std::int64_t RequireInt(const JsonValue& v, const char* key) {
   if (!v.IsNumber() || v.number != std::floor(v.number))
     throw std::runtime_error(std::string("request key \"") + key +
                              "\" must be an integer");
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (std::fabs(v.number) > kMaxExact)
+    throw std::runtime_error(std::string("request key \"") + key +
+                             "\" out of range");
   return static_cast<std::int64_t>(v.number);
 }
 
@@ -24,14 +29,6 @@ bool RequireBool(const JsonValue& v, const char* key) {
     throw std::runtime_error(std::string("request key \"") + key +
                              "\" must be a boolean");
   return v.bool_value;
-}
-
-SubgraphKind ParseStructureName(const std::string& name) {
-  if (name == "remap") return SubgraphKind::kRemap;
-  if (name == "sparse") return SubgraphKind::kSparse;
-  if (name == "dense") return SubgraphKind::kDense;
-  throw std::runtime_error("unknown structure \"" + name +
-                           "\" (accepted: remap, sparse, dense)");
 }
 
 }  // namespace
@@ -72,11 +69,6 @@ ProtocolRequest ParseRequest(const std::string& line) {
       if (top < 1 || top > std::numeric_limits<std::uint32_t>::max())
         throw std::runtime_error("request key \"top\" out of range");
       req.query.top = static_cast<std::uint32_t>(top);
-    } else if (key == "structure") {
-      if (!value.IsString())
-        throw std::runtime_error(
-            "request key \"structure\" must be a string");
-      req.query.structure = ParseStructureName(value.string_value);
     } else {
       throw std::runtime_error("unknown request key \"" + key + "\"");
     }

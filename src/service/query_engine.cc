@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "store/artifact.h"
 #include "util/check.h"
 #include "util/telemetry.h"
 #include "util/timer.h"
@@ -126,11 +127,10 @@ void QueryEngine::ServeGroup(const std::shared_ptr<Entry>& entry,
     CountOptions copts;
     copts.k = std::max(need_k, 1u);
     copts.mode = need_all_k ? CountMode::kAllK : CountMode::kAllUpToK;
-    copts.structure = queries[indices.front()].structure;
     copts.num_threads = options_.num_threads;
     copts.telemetry = telemetry;
     TelemetryRegistry::ScopedSpan count_span(telemetry, "service.count");
-    const CountResult counted = CountCliques(entry->artifact.dag, copts);
+    const CountResult counted = CountCliques(entry->dag, copts);
     entry->per_size = counted.per_size;
     entry->all_k_covered = need_all_k;
     entry->covered_k = need_k;
@@ -147,11 +147,10 @@ void QueryEngine::ServeGroup(const std::shared_ptr<Entry>& entry,
     copts.k = q.k;
     copts.mode = CountMode::kSingleK;
     copts.per_vertex = true;
-    copts.structure = q.structure;
     copts.num_threads = options_.num_threads;
     copts.telemetry = telemetry;
     TelemetryRegistry::ScopedSpan count_span(telemetry, "service.count");
-    CountResult counted = CountCliques(entry->artifact.dag, copts);
+    CountResult counted = CountCliques(entry->dag, copts);
     entry->per_vertex_by_k[q.k] = {counted.total,
                                    std::move(counted.per_vertex)};
     fresh_per_vertex_ks.push_back(q.k);
@@ -221,8 +220,9 @@ std::shared_ptr<QueryEngine::Entry> QueryEngine::GetOrLoad(
   // Load outside the cache lock: artifact I/O + validation is the slow
   // part, and other graphs' batches must not stall behind it.
   auto entry = std::make_shared<Entry>();
-  entry->artifact = ReadArtifact(path);
-  entry->bytes = entry->artifact.HeapBytes();
+  // The DAG is moved out of the temporary; graph and ranks die with it.
+  entry->dag = ReadArtifact(path).dag;
+  entry->bytes = entry->dag.HeapBytes();
 
   std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = cache_.find(path);

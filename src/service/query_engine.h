@@ -5,10 +5,13 @@
 // the counting phase. The engine adds the two layers a serving system
 // needs on top:
 //
-//  * An LRU cache of loaded artifacts under a byte budget. Entries are
-//    shared_ptrs, so eviction never frees an artifact a running batch
-//    still uses; the budget is soft in exactly one way: the most recently
-//    touched artifact always stays resident even if it alone exceeds it.
+//  * An LRU cache of loaded artifacts under a byte budget. Counting reads
+//    only the DAG, so an entry keeps just the DAG (the graph and ranks are
+//    freed right after ReadArtifact validates them) and is charged its
+//    DAG heap bytes. Entries are shared_ptrs, so eviction never frees an
+//    artifact a running batch still uses; the budget is soft in exactly
+//    one way: the most recently touched artifact always stays resident
+//    even if it alone exceeds it.
 //
 //  * Per-artifact count memoization. A batch's same-graph k-queries are
 //    deduplicated into one counting run: a single kAllUpToK run at the
@@ -47,8 +50,8 @@
 #include <string>
 #include <vector>
 
+#include "graph/graph.h"
 #include "pivot/count.h"
-#include "store/artifact.h"
 #include "util/uint128.h"
 
 namespace pivotscale {
@@ -62,9 +65,6 @@ struct ServiceQuery {
   bool all_k = false;       // report every clique size instead of one k
   bool per_vertex = false;  // top-N per-vertex participation counts
   std::uint32_t top = 1;    // how many top vertices to report (per_vertex)
-  // Execution hint only: counts are identical across structures, so
-  // memoized answers may have been produced with a different one.
-  SubgraphKind structure = SubgraphKind::kRemap;
 };
 
 struct VertexCount {
@@ -89,7 +89,7 @@ struct ServiceResult {
 };
 
 struct QueryEngineOptions {
-  // Cache byte budget over GraphArtifact::HeapBytes() of resident entries.
+  // Cache byte budget over the DAG heap bytes of resident entries.
   std::size_t cache_byte_budget = std::size_t{1} << 30;
   // Requested threads per counting run; 0 = whole machine. The realized
   // team per run is whatever the shared ThreadBudget grants (at least 1),
@@ -125,8 +125,8 @@ class QueryEngine {
  private:
   struct Entry {
     std::mutex count_mutex;  // serializes counting + memo updates
-    GraphArtifact artifact;
-    std::size_t bytes = 0;
+    Graph dag;               // the only part of the artifact serving reads
+    std::size_t bytes = 0;   // dag.HeapBytes()
     std::uint64_t last_used = 0;  // LRU stamp; guarded by cache_mutex_
 
     // Memo: per_size[s] is valid for s <= covered_k, or for every size

@@ -57,8 +57,7 @@ struct GraphArtifact {
   EdgeId degeneracy = 0;       // exact degeneracy of `graph`
   EdgeId max_out_degree = 0;   // of `dag` (ordering quality)
 
-  // Heap bytes held by the CSR arrays and the rank permutation — the cache
-  // accounting unit of the query service.
+  // Heap bytes held by the CSR arrays and the rank permutation.
   std::size_t HeapBytes() const;
 };
 

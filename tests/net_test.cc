@@ -1,11 +1,12 @@
-// TCP serving layer tests: the shared line framer (CRLF stripping,
+// Serving front-end tests: the shared line framer (CRLF stripping,
 // oversized-line shedding, arbitrary chunking, fuzz-lite garbage
-// streams), the bounded-admission worker pool (deterministic shed,
-// deadline checks at batch-group boundaries), and a loopback NetServer
-// driven by real concurrent sockets — counts bit-identical to standalone
-// runs, overloaded batches shed once --queue-depth is exceeded,
-// half-closed connections still get their responses, and drain flushes
-// everything.
+// streams), the shared line parser (integer range, deadline saturation),
+// the bounded-admission worker pool (deterministic shed, deadline checks
+// at batch-group boundaries), the stdin/stdout stream front end over
+// string streams, and a loopback NetServer driven by real concurrent
+// sockets — counts bit-identical to standalone runs, overloaded batches
+// shed once --queue-depth is exceeded, half-closed connections still get
+// their responses, and drain flushes everything.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,12 +15,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +32,7 @@
 #include "graph/generators.h"
 #include "net/event_loop.h"
 #include "net/framer.h"
+#include "net/stream.h"
 #include "net/worker_pool.h"
 #include "pivot/pivotscale.h"
 #include "service/protocol.h"
@@ -201,6 +206,63 @@ TEST(ProtocolDeadline, ParsesAndValidatesDeadline) {
       std::runtime_error);
 }
 
+TEST(ProtocolId, HugeIntegersAreOutOfRange) {
+  // Beyond 2^53 a double no longer holds an exact integer, and casting one
+  // past int64_t is undefined: every integer key rejects them up front.
+  for (const char* request :
+       {"{\"id\":1e300,\"graph\":\"g.psx\"}",
+        "{\"id\":-1e300,\"graph\":\"g.psx\"}",
+        "{\"id\":9007199254740994,\"graph\":\"g.psx\"}",
+        "{\"id\":1,\"graph\":\"g.psx\",\"k\":1e19}",
+        "{\"id\":1,\"graph\":\"g.psx\",\"top\":1e300}",
+        "{\"id\":1,\"graph\":\"g.psx\",\"deadline_ms\":1e300}"}) {
+    try {
+      ParseRequest(request);
+      ADD_FAILURE() << "accepted " << request;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"),
+                std::string::npos)
+          << request << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(
+      ParseRequest("{\"id\":9007199254740992,\"graph\":\"g.psx\"}").id,
+      std::int64_t{1} << 53);
+}
+
+TEST(ProtocolKeys, StructureIsAnUnknownKey) {
+  // Served counts always run on the remap structure; a client cannot
+  // pick another one.
+  try {
+    ParseRequest("{\"id\":1,\"graph\":\"g.psx\",\"structure\":\"remap\"}");
+    ADD_FAILURE() << "\"structure\" was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unknown request key \"structure\"");
+  }
+}
+
+TEST(ParseNetLine, HugeDeadlineSaturatesToNoDeadline) {
+  using Clock = std::chrono::steady_clock;
+  FramedLine line;
+  // now + 1e13 ms overflows the clock's nanosecond tick count.
+  line.text =
+      "{\"id\":3,\"graph\":\"g.psx\",\"k\":4,\"deadline_ms\":10000000000000}";
+  std::optional<NetRequest> req = ParseNetLine(line, 1024);
+  ASSERT_TRUE(req.has_value());
+  ASSERT_TRUE(req->parsed) << req->parse_error;
+  EXPECT_EQ(req->deadline, Clock::time_point::max());
+
+  line.text = "{\"id\":3,\"graph\":\"g.psx\",\"deadline_ms\":250}";
+  const Clock::time_point before = Clock::now();
+  req = ParseNetLine(line, 1024);
+  ASSERT_TRUE(req.has_value() && req->parsed);
+  EXPECT_GE(req->deadline, before + std::chrono::milliseconds(250));
+  EXPECT_LE(req->deadline, Clock::now() + std::chrono::milliseconds(250));
+
+  line.text.clear();  // the blank flush marker carries no request
+  EXPECT_FALSE(ParseNetLine(line, 1024).has_value());
+}
+
 // ---------------------------------------------------- worker pool / batch
 
 class NetTest : public ::testing::Test {
@@ -323,6 +385,160 @@ TEST_F(NetTest, WorkerPoolShedsDeterministicallyWhenQueueFull) {
   EXPECT_GE(pool.queue_high_water(), 1u);
 }
 
+// ---------------------------------------------------------- stream front end
+
+std::string RequestLine(std::int64_t id, const std::string& graph,
+                        std::uint32_t k) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("id");
+  w.Value(id);
+  w.Key("graph");
+  w.Value(graph);
+  w.Key("k");
+  w.Value(static_cast<std::uint64_t>(k));
+  w.EndObject();
+  return w.str() + "\n";
+}
+
+// Runs `input` through ServeStream and parses every response line.
+std::vector<JsonValue> ServeInput(QueryEngine& engine,
+                                  const std::string& input,
+                                  TelemetryRegistry* telemetry = nullptr,
+                                  std::size_t max_line_bytes =
+                                      ReadLineFramer::kDefaultMaxLineBytes) {
+  std::istringstream in(input);
+  std::ostringstream out;
+  ServeStream(engine, in, out, max_line_bytes, telemetry);
+  std::vector<JsonValue> responses;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);)
+    responses.push_back(ParseJson(line));
+  return responses;
+}
+
+TEST_F(NetTest, ServeStreamAnswersEachBatchInRequestOrder) {
+  QueryEngine engine;
+  TelemetryRegistry telemetry;
+  // Two blank-line batches, then a final line with no terminator that
+  // end of input flushes as the third.
+  std::string input = RequestLine(1, artifact_path_, 4) +
+                      RequestLine(2, artifact_path_, 3) + "\n" +
+                      RequestLine(3, artifact_path_, 5) + "\n" +
+                      RequestLine(4, artifact_path_, 6);
+  input.pop_back();
+  const std::vector<JsonValue> responses =
+      ServeInput(engine, input, &telemetry);
+  ASSERT_EQ(responses.size(), 4u);
+  const std::uint32_t ks[] = {4, 3, 5, 6};
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].Find("id")->number, static_cast<double>(i + 1));
+    ASSERT_TRUE(responses[i].Find("ok")->bool_value);
+    EXPECT_EQ(responses[i].Find("count")->string_value,
+              Standalone(ks[i]).ToString());
+  }
+  EXPECT_EQ(telemetry.Counter("net.batches"), 3u);
+}
+
+TEST_F(NetTest, ServeStreamAcceptsCrlf) {
+  QueryEngine engine;
+  std::string input;
+  for (const std::string& line : {RequestLine(1, artifact_path_, 4),
+                                  RequestLine(2, artifact_path_, 5),
+                                  std::string("\n")})
+    input += line.substr(0, line.size() - 1) + "\r\n";
+  const std::vector<JsonValue> responses = ServeInput(engine, input);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].Find("count")->string_value,
+            Standalone(4).ToString());
+  EXPECT_EQ(responses[1].Find("count")->string_value,
+            Standalone(5).ToString());
+}
+
+TEST_F(NetTest, ServeStreamAnswersOversizedLinePerLine) {
+  QueryEngine engine;
+  constexpr std::size_t kMaxLine = 20000;
+  // A valid request padded with JSON whitespace to span several stream
+  // reads but stay under the limit, a line far over it, then a short one.
+  const std::string padded = "{\"id\":1," + std::string(19000, ' ') +
+                             "\"graph\":\"" + artifact_path_ +
+                             "\",\"k\":4}";
+  ASSERT_LT(padded.size(), kMaxLine);
+  const std::string input = padded + "\n" + std::string(50000, 'x') +
+                            "\n" + RequestLine(3, artifact_path_, 5);
+  const std::vector<JsonValue> responses =
+      ServeInput(engine, input, nullptr, kMaxLine);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[0].Find("count")->string_value,
+            Standalone(4).ToString());
+  EXPECT_EQ(responses[1].Find("id")->number, -1);
+  EXPECT_EQ(responses[1].Find("error")->string_value,
+            "line exceeds 20000 bytes");
+  EXPECT_EQ(responses[2].Find("count")->string_value,
+            Standalone(5).ToString());
+}
+
+TEST_F(NetTest, ServeStreamParseErrorAnswersIdMinusOne) {
+  QueryEngine engine;
+  const std::string input = "not json\n" + RequestLine(2, artifact_path_, 4);
+  const std::vector<JsonValue> responses = ServeInput(engine, input);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].Find("id")->number, -1);
+  EXPECT_FALSE(responses[0].Find("ok")->bool_value);
+  EXPECT_EQ(responses[1].Find("id")->number, 2);
+  EXPECT_TRUE(responses[1].Find("ok")->bool_value);
+}
+
+TEST_F(NetTest, ServeStreamHonorsDeadlines) {
+  QueryEngine engine;
+  TelemetryRegistry telemetry;
+  const std::string graph = "\"graph\":\"" + artifact_path_ + "\"";
+  const std::string input =
+      "{\"id\":1," + graph + ",\"k\":4,\"deadline_ms\":0}\n" +
+      "{\"id\":2," + graph + ",\"k\":4,\"deadline_ms\":10000000000000}\n";
+  const std::vector<JsonValue> responses =
+      ServeInput(engine, input, &telemetry);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_FALSE(responses[0].Find("ok")->bool_value);
+  EXPECT_EQ(responses[0].Find("error")->string_value, "deadline exceeded");
+  // A deadline too far out to represent means no deadline at all.
+  ASSERT_TRUE(responses[1].Find("ok")->bool_value);
+  EXPECT_EQ(responses[1].Find("count")->string_value,
+            Standalone(4).ToString());
+  EXPECT_EQ(telemetry.Counter("net.timed_out"), 1u);
+}
+
+TEST_F(NetTest, ServeStreamMixedKBatchRunsOneCount) {
+  TelemetryRegistry telemetry;
+  QueryEngineOptions options;
+  options.telemetry = &telemetry;
+  QueryEngine engine(options);
+  std::string input;
+  for (int rep = 0; rep < 2; ++rep)
+    for (std::uint32_t k = 3; k <= 8; ++k)
+      input += RequestLine(k, artifact_path_, k);
+  const std::vector<JsonValue> responses =
+      ServeInput(engine, input, &telemetry);
+  ASSERT_EQ(responses.size(), 12u);
+  for (const JsonValue& response : responses) {
+    ASSERT_TRUE(response.Find("ok")->bool_value);
+    const auto k = static_cast<std::uint32_t>(response.Find("id")->number);
+    EXPECT_EQ(response.Find("count")->string_value,
+              Standalone(k).ToString());
+  }
+  EXPECT_EQ(telemetry.Counter("service.count_runs"), 1u);
+  // Serving starts from the stored DAG: no pipeline phase left a record.
+  const TelemetrySnapshot snapshot = telemetry.Snapshot();
+  std::vector<std::string> names;
+  for (const auto& [name, value] : snapshot.counters) names.push_back(name);
+  for (const auto& [name, value] : snapshot.gauges) names.push_back(name);
+  for (const auto& [name, values] : snapshot.series) names.push_back(name);
+  for (const TelemetrySpan& span : snapshot.spans) names.push_back(span.name);
+  for (const std::string& name : names)
+    for (const char* phase : {"heuristic", "ordering", "directionalize"})
+      EXPECT_EQ(name.find(phase), std::string::npos) << name;
+}
+
 // ------------------------------------------------------- loopback server
 
 // Blocking client helper: connect, send, optionally half-close, read
@@ -375,20 +591,6 @@ class LoopbackClient {
   bool connected_ = false;
   ReadLineFramer framer_;
 };
-
-std::string RequestLine(std::int64_t id, const std::string& graph,
-                        std::uint32_t k) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("id");
-  w.Value(id);
-  w.Key("graph");
-  w.Value(graph);
-  w.Key("k");
-  w.Value(static_cast<std::uint64_t>(k));
-  w.EndObject();
-  return w.str() + "\n";
-}
 
 class LoopbackServer {
  public:

@@ -128,12 +128,14 @@ class EngineRaceTest : public ::testing::Test {
 };
 
 TEST_F(EngineRaceTest, MixedKBatchesUnderEvictionPressureStayCorrect) {
-  // A budget one artifact can satisfy but three cannot: every rotation to
-  // a different artifact forces the load + evict path while other threads
-  // are mid-batch on the entry being evicted (shared_ptr keeps it alive).
+  // A budget (in DAG bytes, the cache's unit) one artifact can satisfy but
+  // three cannot: every rotation to a different artifact forces the load
+  // + evict path while other threads are mid-batch on the entry being
+  // evicted (shared_ptr keeps it alive).
   TelemetryRegistry telemetry;
   QueryEngineOptions options;
-  options.cache_byte_budget = BuildArtifact(graphs_[0]).HeapBytes() + 1024;
+  options.cache_byte_budget =
+      ReadArtifact(files_[0]->path()).dag.HeapBytes() + 1024;
   options.num_threads = 2;
   options.telemetry = &telemetry;
   QueryEngine engine(options);

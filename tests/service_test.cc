@@ -219,8 +219,10 @@ TEST_F(ServiceTest, LruEvictionRespectsByteBudget) {
 
   TelemetryRegistry telemetry;
   QueryEngineOptions options;
-  // Budget fits one artifact but not two.
-  options.cache_byte_budget = BuildArtifact(graph_).HeapBytes() * 3 / 2;
+  // Budget fits one artifact but not two. The cache charges only the DAG
+  // as read back, the part of an artifact that serving keeps resident.
+  options.cache_byte_budget =
+      ReadArtifact(artifact_file_->path()).dag.HeapBytes() * 3 / 2;
   options.telemetry = &telemetry;
   QueryEngine engine(options);
 
@@ -262,13 +264,12 @@ TEST_F(ServiceTest, PerQueryErrorsDoNotPoisonTheBatch) {
 TEST(Protocol, ParsesFullRequest) {
   const ProtocolRequest req = ParseRequest(
       "{\"id\": 7, \"graph\": \"g.psx\", \"k\": 6, \"per_vertex\": true, "
-      "\"top\": 3, \"structure\": \"sparse\"}");
+      "\"top\": 3}");
   EXPECT_EQ(req.id, 7);
   EXPECT_EQ(req.query.graph, "g.psx");
   EXPECT_EQ(req.query.k, 6u);
   EXPECT_TRUE(req.query.per_vertex);
   EXPECT_EQ(req.query.top, 3u);
-  EXPECT_EQ(req.query.structure, SubgraphKind::kSparse);
   EXPECT_FALSE(req.query.all_k);
 }
 
