@@ -1,7 +1,9 @@
 // Microbenchmarks (google-benchmark): first-level subgraph construction and
-// full per-root counting for the three structures. These isolate the access
+// full per-root counting for the four structures. These isolate the access
 // costs the paper discusses — dense's direct indexing, sparse's per-access
-// hash lookup (~1.2x), and remap's pay-hash-once design.
+// hash lookup (~1.2x), and remap's pay-hash-once design — and the bitmap
+// kernel's: a ProcessRoot case minus the matching Build case is the
+// per-root recursion cost on bit rows versus remap's list rows.
 #include <benchmark/benchmark.h>
 
 #include "graph/builder.h"
@@ -9,6 +11,7 @@
 #include "graph/generators.h"
 #include "order/core_order.h"
 #include "pivot/pivoter.h"
+#include "pivot/subgraph_bitmap.h"
 #include "pivot/subgraph_dense.h"
 #include "pivot/subgraph_remap.h"
 #include "pivot/subgraph_sparse.h"
@@ -36,13 +39,14 @@ void BM_SubgraphBuild(benchmark::State& state) {
   NodeId v = 0;
   for (auto _ : state) {
     sg.Build(v);
-    benchmark::DoNotOptimize(sg.Vertices().size());
+    benchmark::DoNotOptimize(sg);
     v = (v + 1) % dag.NumNodes();
   }
 }
 BENCHMARK(BM_SubgraphBuild<DenseSubgraph>);
 BENCHMARK(BM_SubgraphBuild<SparseSubgraph>);
 BENCHMARK(BM_SubgraphBuild<RemapSubgraph>);
+BENCHMARK(BM_SubgraphBuild<BitmapSubgraph>);
 
 template <typename SG>
 void BM_ProcessRoot(benchmark::State& state) {
@@ -62,5 +66,6 @@ void BM_ProcessRoot(benchmark::State& state) {
 BENCHMARK(BM_ProcessRoot<DenseSubgraph>);
 BENCHMARK(BM_ProcessRoot<SparseSubgraph>);
 BENCHMARK(BM_ProcessRoot<RemapSubgraph>);
+BENCHMARK(BM_ProcessRoot<BitmapSubgraph>);
 
 }  // namespace

@@ -5,7 +5,7 @@
 //   pivotscale_cli --graph path.el [--k 8] [--all-k] [--per-vertex]
 //                  [--top 10]
 //                  [--ordering heuristic|core|approx|kcore|centrality|degree]
-//                  [--eps -0.5] [--structure remap|sparse|dense]
+//                  [--eps -0.5] [--structure bitmap|remap|sparse|dense]
 //                  [--threads N] [--stats] [--save-binary out.psg]
 //                  [--telemetry-json out.json]
 //
@@ -42,10 +42,12 @@ OrderingSpec ParseOrdering(const std::string& name, double eps) {
 }
 
 SubgraphKind ParseStructure(const std::string& name) {
+  if (name == "bitmap") return SubgraphKind::kBitmap;
   if (name == "remap") return SubgraphKind::kRemap;
   if (name == "sparse") return SubgraphKind::kSparse;
   if (name == "dense") return SubgraphKind::kDense;
-  throw std::runtime_error("unknown --structure: " + name);
+  throw std::runtime_error("unknown --structure: " + name +
+                           " (expected bitmap, remap, sparse or dense)");
 }
 
 }  // namespace
@@ -90,7 +92,7 @@ int main(int argc, char** argv) {
     options.all_k = args.GetBool("all-k", false);
     options.count.per_vertex = args.GetBool("per-vertex", false);
     options.count.structure =
-        ParseStructure(args.GetString("structure", "remap"));
+        ParseStructure(args.GetString("structure", "bitmap"));
     options.count.num_threads = args.GetThreads();
     options.count.collect_op_stats = args.GetBool("stats", false);
     options.heuristic.min_nodes =

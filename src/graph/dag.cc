@@ -1,6 +1,7 @@
 #include "graph/dag.h"
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "exec/executor.h"
@@ -27,7 +28,10 @@ Graph Directionalize(const Graph& g, std::span<const NodeId> ranks,
   if (!IsPermutation(ranks))
     throw std::invalid_argument("Directionalize: ranks not a permutation");
 
-  std::vector<EdgeId> out_degrees(n, 0);
+  // One slot past the last vertex, so the in-place exclusive scan below
+  // leaves the edge total there and the offsets need no push_back (which
+  // would leave the vector with about twice the capacity it uses).
+  std::vector<EdgeId> out_degrees(static_cast<std::size_t>(n) + 1, 0);
   ExecOptions exec_options;
   exec_options.grain = 1024;
   ParallelFor(n, exec_options, [&](std::size_t i) {
@@ -45,9 +49,8 @@ Graph Directionalize(const Graph& g, std::span<const NodeId> ranks,
     out_degrees[u] = deg;
   });
 
-  std::vector<EdgeId> offsets;
-  const EdgeId total = ParallelPrefixSum(out_degrees, &offsets);
-  offsets.push_back(total);
+  std::vector<EdgeId> offsets = std::move(out_degrees);
+  const EdgeId total = ParallelPrefixSum(offsets, &offsets);
 
   std::vector<NodeId> neighbors(total);
   const std::uint64_t edge_flips = ParallelReduce(

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "exec/executor.h"
+#include "pivot/subgraph_bitmap.h"
 #include "pivot/subgraph_dense.h"
 #include "pivot/subgraph_remap.h"
 #include "pivot/subgraph_sparse.h"
@@ -23,6 +24,8 @@ std::string SubgraphKindName(SubgraphKind kind) {
       return "sparse";
     case SubgraphKind::kRemap:
       return "remap";
+    case SubgraphKind::kBitmap:
+      return "bitmap";
   }
   return "unknown";
 }
@@ -80,7 +83,7 @@ template <typename SG, typename Stats>
 CountResult Run(const Graph& dag, const CountOptions& options,
                 const char* item_counter) {
   // Long-tail splitting needs first-level pair builds, which only the
-  // remap structure implements.
+  // remap and bitmap structures implement.
   constexpr bool kCanSplit =
       requires(SG sg, NodeId a, NodeId b) { sg.BuildPair(a, b); };
 
@@ -244,6 +247,8 @@ CountResult CountCliques(const Graph& dag, const CountOptions& options) {
       return Dispatch<SparseSubgraph>(dag, options, "count.roots");
     case SubgraphKind::kRemap:
       return Dispatch<RemapSubgraph>(dag, options, "count.roots");
+    case SubgraphKind::kBitmap:
+      return Dispatch<BitmapSubgraph>(dag, options, "count.roots");
   }
   throw std::invalid_argument("CountCliques: unknown subgraph structure");
 }

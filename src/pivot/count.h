@@ -6,9 +6,9 @@
 // into first-level edge subtasks past `split_threshold` — and runs it on
 // the exec layer (src/exec/executor.h) with one PivotCounter per worker,
 // merging the per-worker counters serially at the end. Options select the
-// subgraph structure (dense / sparse / remap), the counting mode, per-vertex
-// attribution, operation-count instrumentation, and per-root work tracing
-// for the scaling study. See docs/parallelism.md.
+// subgraph structure (dense / sparse / remap / bitmap), the counting mode,
+// per-vertex attribution, operation-count instrumentation, and per-root
+// work tracing for the scaling study. See docs/parallelism.md.
 #ifndef PIVOTSCALE_PIVOT_COUNT_H_
 #define PIVOTSCALE_PIVOT_COUNT_H_
 
@@ -26,11 +26,13 @@ namespace pivotscale {
 
 class TelemetryRegistry;
 
-// The three thread-local subgraph representations of Section IV.
+// The thread-local subgraph representations: the three of Section IV and
+// the bit rows that count by default.
 enum class SubgraphKind {
   kDense,   // |V|-sized index (original Pivoter layout)
   kSparse,  // hash-indexed compact slots
-  kRemap,   // first-level id remap + compact dense arrays (default)
+  kRemap,   // first-level id remap + compact dense arrays
+  kBitmap,  // remap + bit rows up to 256 members, remap lists above (default)
 };
 
 std::string SubgraphKindName(SubgraphKind kind);
@@ -46,7 +48,7 @@ inline constexpr std::uint64_t kDefaultSplitThreshold =
 struct CountOptions {
   std::uint32_t k = 8;
   CountMode mode = CountMode::kSingleK;
-  SubgraphKind structure = SubgraphKind::kRemap;
+  SubgraphKind structure = SubgraphKind::kBitmap;
   // Accumulate per-vertex k-clique participation counts (kSingleK only).
   bool per_vertex = false;
   // Disable Section V-A early termination (ablation only; slower, same
@@ -64,8 +66,8 @@ struct CountOptions {
   // Long-tail root splitting (exec layer): a root whose work estimate
   // (out_degree + 1)^2 exceeds this threshold is decomposed into
   // first-level edge subtasks, each counting the cliques whose two
-  // lowest-ranked members are that DAG edge. Only the remap structure
-  // supports pair builds, and work-trace runs never split (work is
+  // lowest-ranked members are that DAG edge. Only the remap and bitmap
+  // structures support pair builds, and work-trace runs never split (work is
   // attributed per root). 0 splits every root with out-edges (the full
   // edge-parallel decomposition); kNeverSplit disables splitting.
   std::uint64_t split_threshold = kDefaultSplitThreshold;
@@ -107,8 +109,8 @@ CountResult CountCliques(const Graph& dag, const CountOptions& options);
 // cliques whose two lowest-ranked members are that edge. Better load
 // balance on skewed graphs at the cost of one intersection per edge.
 // Since the exec-layer refactor this is CountCliques with
-// split_threshold = 0 on the remap structure (the only one with pair
-// builds); per-root work traces are not supported (work is per edge).
+// split_threshold = 0 on the remap structure; per-root work traces are
+// not supported (work is per edge).
 // k = 1 is answered directly (the vertex count).
 CountResult CountCliquesEdgeParallel(const Graph& dag,
                                      const CountOptions& options);

@@ -18,6 +18,11 @@
 // permutes entries only within the parent's prefix, so restoring the length
 // restores the set. All buffers are reused across roots: steady-state
 // counting performs no allocation (Section V-B).
+//
+// Bit rows: on the BitmapSubgraph structure a task of at most 256 members
+// runs RecurseBits instead, where the candidate set is a mask passed by
+// value and none of the mutation bookkeeping exists (docs/algorithm.md,
+// "Bitmap rows"). Larger tasks run Recurse in the same counter.
 #ifndef PIVOTSCALE_PIVOT_PIVOTER_H_
 #define PIVOTSCALE_PIVOT_PIVOTER_H_
 
@@ -27,6 +32,7 @@
 
 #include "graph/graph.h"
 #include "pivot/stats.h"
+#include "pivot/subgraph_bitmap.h"
 #include "util/binomial.h"
 #include "util/check.h"
 #include "util/uint128.h"
@@ -42,7 +48,8 @@ enum class CountMode {
 };
 
 // One thread's counting engine. SG is one of {DenseSubgraph,
-// SparseSubgraph, RemapSubgraph}; Stats is a policy from pivot/stats.h.
+// SparseSubgraph, RemapSubgraph, BitmapSubgraph}; Stats is a policy from
+// pivot/stats.h.
 template <typename SG, typename Stats>
 class PivotCounter {
  public:
@@ -74,25 +81,20 @@ class PivotCounter {
   // Counts all cliques rooted at `root` and accumulates into this counter.
   void ProcessRoot(NodeId root) {
     sg_.Build(root);
-    const auto verts = sg_.Vertices();
-    EnsureDepth(verts.size() + 2);
-    // The root itself is the first required vertex (r = 1).
     root_ = root;
-    bufs_[0].assign(verts.begin(), verts.end());
-    total_ += Recurse(bufs_[0], /*r=*/1, /*np=*/0, /*depth=*/0);
+    // The root itself is the first required vertex (r = 1).
+    total_ += CountBuilt(/*r=*/1);
   }
 
-  // Edge-parallel entry point (requires an SG with BuildPair, i.e. the
-  // remap structure): counts the cliques whose two lowest-ranked members
-  // are the DAG edge (u, v). Both endpoints start as required (r = 2).
+  // Edge-parallel entry point (requires an SG with BuildPair: the remap
+  // and bitmap structures): counts the cliques whose two lowest-ranked
+  // members are the DAG edge (u, v). Both endpoints start as required
+  // (r = 2).
   void ProcessEdge(NodeId u, NodeId v) {
     sg_.BuildPair(u, v);
-    const auto verts = sg_.Vertices();
-    EnsureDepth(verts.size() + 2);
     root_ = u;
     if (per_vertex_) required_stack_.push_back(v);
-    bufs_[0].assign(verts.begin(), verts.end());
-    total_ += Recurse(bufs_[0], /*r=*/2, /*np=*/0, /*depth=*/0);
+    total_ += CountBuilt(/*r=*/2);
     if (per_vertex_) required_stack_.pop_back();
   }
 
@@ -157,6 +159,118 @@ class PivotCounter {
     DCHECK_LT(r + max_j, per_size_.size());
     for (std::uint32_t j = 0; j <= max_j; ++j)
       per_size_[r + j] += binom_->Choose(np, j);
+  }
+
+  // Structures with bit rows (BitmapSubgraph) run RecurseBits on every
+  // task they built as bit rows and Recurse on the rest.
+  static constexpr bool kBitRows = requires(const SG& sg) { sg.Words(); };
+
+  // Runs the recursion over the task just built, whose path so far holds
+  // r required vertices and no pivots.
+  BigCount CountBuilt(std::uint32_t r) {
+    if constexpr (kBitRows) {
+      switch (sg_.Words()) {
+        case 1:
+          return RecurseBits<1>(sg_.template Members<1>(), r, 0);
+        case 2:
+          return RecurseBits<2>(sg_.template Members<2>(), r, 0);
+        case 4:
+          return RecurseBits<4>(sg_.template Members<4>(), r, 0);
+        default:
+          break;  // list rows
+      }
+    }
+    const auto verts = sg_.Vertices();
+    EnsureDepth(verts.size() + 2);
+    bufs_[0].assign(verts.begin(), verts.end());
+    return Recurse(bufs_[0], r, /*np=*/0, /*depth=*/0);
+  }
+
+  // The recursion on bit rows: the candidate set is a mask passed by
+  // value, so nothing is narrowed and nothing is undone. Same pruning,
+  // pivot rule, removal rule and leaves as Recurse.
+  template <std::size_t W>
+  BigCount RecurseBits(BitMask<W> candidates, std::uint32_t r,
+                       std::uint32_t np) {
+    stats_.OnCall();
+    const std::uint32_t size = bitmask::Count(candidates);
+
+    if (mode_ == CountMode::kSingleK && early_termination_) {
+      if (r == k_) return LeafSingleK(r, np);
+      if (r + np + size < k_) return BigCount{};
+    }
+    if (mode_ == CountMode::kAllUpToK && r >= k_) {
+      // The capped twin of the r == k rule: of the cliques below, only
+      // the required set itself has size <= k (the subtree's one r == k
+      // leaf, at the end of its pivot chain, with zero pivots chosen).
+      if (r == k_) per_size_[r] += BigCount{1};
+      return BigCount{};
+    }
+
+    if (size == 0) {
+      if (mode_ != CountMode::kSingleK) {
+        LeafAllK(r, np);
+        return BigCount{};
+      }
+      return LeafSingleK(r, np);
+    }
+
+    std::uint64_t scanned = 0;
+    const std::uint32_t pivot = PickPivot(candidates, size, &scanned);
+    stats_.OnEdgeOps(scanned);
+
+    // Branches: the pivot and its non-neighbors. Each finished branch
+    // leaves the pool of the later ones.
+    const BitMask<W> branches =
+        bitmask::AndNot(candidates, sg_.Row(pivot));
+    BigCount total{};
+    bitmask::ForEach(branches, [&](std::uint32_t w) {
+      const bool is_pivot_branch = (w == pivot);
+      stats_.OnInduce();
+      if (per_vertex_) {
+        if (is_pivot_branch)
+          pivot_stack_.push_back(sg_.OrigId(w));
+        else
+          required_stack_.push_back(sg_.OrigId(w));
+      }
+      total += RecurseBits<W>(bitmask::And(candidates, sg_.Row(w)),
+                              r + (is_pivot_branch ? 0 : 1),
+                              np + (is_pivot_branch ? 1 : 0));
+      if (per_vertex_) {
+        if (is_pivot_branch)
+          pivot_stack_.pop_back();
+        else
+          required_stack_.pop_back();
+      }
+      bitmask::Clear(&candidates, w);
+    });
+    return total;
+  }
+
+  // The first candidate with the most neighbors inside the set. A
+  // candidate adjacent to every other one cannot be beaten, so the scan
+  // stops there. Adds the popcounted row entries it saw to *scanned.
+  template <std::size_t W>
+  std::uint32_t PickPivot(const BitMask<W>& candidates, std::uint32_t size,
+                          std::uint64_t* scanned) const {
+    std::uint32_t pivot = 0;
+    std::uint32_t pivot_deg = 0;
+    bool any = false;
+    for (std::size_t i = 0; i < W; ++i) {
+      for (std::uint64_t word = candidates[i]; word != 0; word &= word - 1) {
+        const auto u =
+            static_cast<std::uint32_t>(i * 64 + __builtin_ctzll(word));
+        const std::uint32_t d = bitmask::CountAnd(candidates, sg_.Row(u));
+        *scanned += d;
+        if (!any || d > pivot_deg) {
+          pivot = u;
+          pivot_deg = d;
+          any = true;
+          if (d + 1 == size) return pivot;
+        }
+      }
+    }
+    return pivot;
   }
 
   BigCount Recurse(std::span<const Id> candidates, std::uint32_t r,

@@ -5,7 +5,7 @@
 // and a target clique size it (1) runs the order-selecting heuristic of
 // Section III-E (unless an ordering is forced), (2) computes the chosen
 // ordering, (3) directionalizes, and (4) runs the vertex-parallel counting
-// phase with the remapped subgraph structure by default.
+// phase with the bitmap-row subgraph structure by default.
 #ifndef PIVOTSCALE_PIVOT_PIVOTSCALE_H_
 #define PIVOTSCALE_PIVOT_PIVOTSCALE_H_
 
@@ -61,7 +61,7 @@ struct PivotScaleResult {
 PivotScaleResult CountKCliques(const Graph& g,
                                const PivotScaleOptions& options = {});
 
-// Convenience one-liner: heuristic-selected ordering, remap structure.
+// Convenience one-liner: heuristic-selected ordering, default structure.
 BigCount CountKCliquesSimple(const Graph& g, std::uint32_t k);
 
 }  // namespace pivotscale

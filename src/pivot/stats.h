@@ -24,6 +24,20 @@ enum class TouchRegion : int {
 };
 
 // Aggregated operation counters (also the cross-policy result type).
+//
+// On bit rows (BitmapSubgraph, PivotCounter::RecurseBits) the counters
+// mean:
+//   calls        one per recursion call, as on list rows;
+//   edge_ops     the row entries the pivot scan popcounts: for each
+//                candidate u it scans, |row[u] ∩ P|. The scan stops at a
+//                candidate adjacent to all others, so this counts what it
+//                saw; it is deterministic and measures the same adjacency
+//                entries the list kernel reads, though that kernel also
+//                counts its narrowing passes;
+//   induces      one per branch descent, as on list rows;
+//   memberships  0: there are no mark or removed flags to test.
+// A task above the bitmap bound runs the list recursion and counts as
+// the list kernel does.
 struct OpCounters {
   std::uint64_t calls = 0;        // recursive CountRecurse invocations
   std::uint64_t edge_ops = 0;     // adjacency entries scanned
@@ -45,6 +59,7 @@ struct NoStats {
   static constexpr bool kTrace = false;
   void OnCall() {}
   void OnEdgeOp() {}
+  void OnEdgeOps(std::uint64_t) {}
   void OnInduce() {}
   void OnMembership() {}
   void OnTouch(TouchRegion, std::uint64_t) {}
@@ -58,6 +73,7 @@ struct OpCountStats {
   OpCounters ops;
   void OnCall() { ++ops.calls; }
   void OnEdgeOp() { ++ops.edge_ops; }
+  void OnEdgeOps(std::uint64_t n) { ops.edge_ops += n; }
   void OnInduce() { ++ops.induces; }
   void OnMembership() { ++ops.memberships; }
   void OnTouch(TouchRegion, std::uint64_t) {}
@@ -85,6 +101,7 @@ struct TraceStats {
 
   void OnCall() { ++ops.calls; }
   void OnEdgeOp() { ++ops.edge_ops; }
+  void OnEdgeOps(std::uint64_t n) { ops.edge_ops += n; }
   void OnInduce() { ++ops.induces; }
   void OnMembership() { ++ops.memberships; }
   void OnTouch(TouchRegion region, std::uint64_t index) {

@@ -20,6 +20,11 @@ void RemapSubgraph::Build(NodeId root) {
 }
 
 void RemapSubgraph::BuildPair(NodeId u, NodeId v) {
+  CollectPair(u, v);
+  FinishBuild();
+}
+
+void RemapSubgraph::CollectPair(NodeId u, NodeId v) {
   // Sorted intersection of the two out-neighborhoods.
   const auto nu = dag_->Neighbors(u);
   const auto nv = dag_->Neighbors(v);
@@ -36,17 +41,21 @@ void RemapSubgraph::BuildPair(NodeId u, NodeId v) {
       ++j;
     }
   }
-  FinishBuild();
+}
+
+void RemapSubgraph::RemapMembers() {
+  const std::size_t n = orig_.size();
+  remap_.Clear();
+  remap_.Reserve(static_cast<std::uint32_t>(n));
+  for (std::size_t local = 0; local < n; ++local)
+    remap_.Insert(orig_[local], static_cast<Id>(local));
 }
 
 void RemapSubgraph::FinishBuild() {
   const std::size_t n = orig_.size();
 
   // The remap — the one place a hash map is consulted for this root.
-  remap_.Clear();
-  remap_.Reserve(static_cast<std::uint32_t>(n));
-  for (std::size_t local = 0; local < n; ++local)
-    remap_.Insert(orig_[local], static_cast<Id>(local));
+  RemapMembers();
 
   verts_.resize(n);
   std::iota(verts_.begin(), verts_.end(), Id{0});

@@ -1,5 +1,7 @@
 // Remapped induced-subgraph structure (PivotScale (remap), Figure 4C) —
-// the default and fastest structure.
+// the paper's fastest structure. BitmapSubgraph (subgraph_bitmap.h), the
+// library default, extends it with bit rows and falls back to it above
+// 256 members.
 //
 // At the first recursion level the members of the induced subgraph are
 // remapped to the compact id range [0, d(root)); all deeper levels reuse the
@@ -60,18 +62,24 @@ class RemapSubgraph {
   std::size_t IndexSpace() const { return verts_.size(); }
   std::size_t HeapBytes() const;
 
- private:
-  static constexpr std::uint8_t kMark = 1;
-  static constexpr std::uint8_t kRemoved = 2;
-
+ protected:
+  // BuildPair's member list: orig_ = N+(u) ∩ N+(v), sorted.
+  void CollectPair(NodeId u, NodeId v);
+  // Fills remap_ with orig_[local] -> local for every member.
+  void RemapMembers();
   // Shared tail of Build/BuildPair: orig_ holds the member list; builds
   // the remap, local-id adjacency, degrees, and flags.
   void FinishBuild();
 
   const Graph* dag_ = nullptr;
   FlatHashMap remap_;  // used during Build only
-  std::vector<Id> verts_;                 // local ids 0..n-1
   std::vector<NodeId> orig_;              // local -> original id
+
+ private:
+  static constexpr std::uint8_t kMark = 1;
+  static constexpr std::uint8_t kRemoved = 2;
+
+  std::vector<Id> verts_;                 // local ids 0..n-1
   std::vector<std::vector<Id>> rows_;     // local-id adjacency; reused
   std::vector<std::uint32_t> deg_;
   std::vector<std::uint8_t> flags_;

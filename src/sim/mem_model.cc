@@ -1,5 +1,9 @@
 #include "sim/mem_model.h"
 
+#include <algorithm>
+
+#include "pivot/subgraph_bitmap.h"
+
 namespace pivotscale {
 
 std::size_t EstimateStructureBytes(SubgraphKind kind, NodeId num_nodes,
@@ -19,6 +23,18 @@ std::size_t EstimateStructureBytes(SubgraphKind kind, NodeId num_nodes,
     case SubgraphKind::kRemap:
       // Slot arrays sized d; hash map only alive during build.
       return d * (24 + sizeof(std::uint32_t) + 1 + 32) + payload;
+    case SubgraphKind::kBitmap: {
+      // Member list and hash, plus bit rows for the largest bitmap task;
+      // above the bound, remap's arrays as well.
+      const std::size_t rows = std::min(d, BitmapSubgraph::kMaxVertices);
+      const std::size_t bit_rows = rows * BitmapSubgraph::RowWords(rows) *
+                                   sizeof(std::uint64_t);
+      if (d > BitmapSubgraph::kMaxVertices)
+        return EstimateStructureBytes(SubgraphKind::kRemap, num_nodes,
+                                      max_out_degree) +
+               bit_rows;
+      return d * (sizeof(NodeId) + 32) + bit_rows;
+    }
   }
   return 0;
 }

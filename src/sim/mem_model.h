@@ -24,6 +24,8 @@ namespace pivotscale {
 // sparse: compact slot arrays + hash index, all O(max_out_degree), plus the
 //         same payload bound.
 // remap:  like sparse but with plain arrays (hash map only during build).
+// bitmap: remap's member list and hash plus bit rows of 1, 2 or 4 words;
+//         above 256 members, remap's list arrays as well.
 std::size_t EstimateStructureBytes(SubgraphKind kind, NodeId num_nodes,
                                    EdgeId max_out_degree);
 

@@ -51,7 +51,7 @@ TEST_P(DriverCrosscheck, EdgeParallelMatchesVertexParallelAllStructures) {
     EXPECT_EQ(edge.total.value(), static_cast<uint128>(truth))
         << "edge-parallel k=" << k;
     for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                      SubgraphKind::kRemap}) {
+                      SubgraphKind::kRemap, SubgraphKind::kBitmap}) {
       options.structure = kind;
       const CountResult vertex = CountCliques(dag, options);
       EXPECT_EQ(vertex.total, edge.total)
@@ -72,7 +72,7 @@ TEST_P(DriverCrosscheck, PerVertexCountsAgree) {
     const CountResult edge = CountCliquesEdgeParallel(dag, options);
     ASSERT_EQ(edge.per_vertex.size(), g.NumNodes());
     for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                      SubgraphKind::kRemap}) {
+                      SubgraphKind::kRemap, SubgraphKind::kBitmap}) {
       options.structure = kind;
       const CountResult vertex = CountCliques(dag, options);
       ASSERT_EQ(vertex.per_vertex.size(), g.NumNodes());
@@ -94,7 +94,7 @@ TEST_P(DriverCrosscheck, AllKPerSizeAgrees) {
   options.mode = CountMode::kAllK;
   const CountResult edge = CountCliquesEdgeParallel(dag, options);
   for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                    SubgraphKind::kRemap}) {
+                    SubgraphKind::kRemap, SubgraphKind::kBitmap}) {
     options.structure = kind;
     const CountResult vertex = CountCliques(dag, options);
     const std::size_t sizes =
@@ -124,14 +124,17 @@ TEST_P(DriverCrosscheck, ForcedSplitMatchesBruteForce) {
   const Graph g = BuildGraph(ErdosRenyi(n, p, seed + 3000));
   const Graph dag = MakeDag(g, OrderingKind::kCore);
   for (std::uint32_t k = 1; k <= 6; ++k) {
-    CountOptions options;
-    options.k = k;
-    options.structure = SubgraphKind::kRemap;
-    options.split_threshold = 1;
-    const CountResult split = CountCliques(dag, options);
-    EXPECT_EQ(split.total.value(),
-              static_cast<uint128>(BruteForceCount(g, k)))
-        << "forced-split k=" << k;
+    for (auto kind : {SubgraphKind::kRemap, SubgraphKind::kBitmap}) {
+      CountOptions options;
+      options.k = k;
+      options.structure = kind;
+      options.split_threshold = 1;
+      const CountResult split = CountCliques(dag, options);
+      EXPECT_EQ(split.total.value(),
+                static_cast<uint128>(BruteForceCount(g, k)))
+          << "forced-split k=" << k << " structure="
+          << SubgraphKindName(kind);
+    }
   }
 }
 

@@ -35,7 +35,7 @@ BigCount Count(const Graph& g, std::uint32_t k, SubgraphKind structure,
 TEST(Pivoter, CompleteGraphAllStructures) {
   const Graph g = BuildGraph(CompleteGraph(10));
   for (auto structure : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                         SubgraphKind::kRemap}) {
+                         SubgraphKind::kRemap, SubgraphKind::kBitmap}) {
     for (std::uint32_t k = 1; k <= 10; ++k) {
       EXPECT_EQ(Count(g, k, structure).value(), BinomialChoose(10, k))
           << SubgraphKindName(structure) << " k=" << k;
@@ -126,7 +126,7 @@ TEST_P(PivoterSweep, MatchesBruteForceOnAllStructuresAndOrderings) {
   for (auto order : {OrderingKind::kDegree, OrderingKind::kCore,
                      OrderingKind::kKCore}) {
     for (auto structure : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                           SubgraphKind::kRemap}) {
+                           SubgraphKind::kRemap, SubgraphKind::kBitmap}) {
       EXPECT_EQ(
           Count(g, static_cast<std::uint32_t>(k), structure, order).value(),
           static_cast<uint128>(expected))
@@ -215,7 +215,7 @@ TEST(PivoterPerVertex, MatchesBruteForce) {
   const Graph g = BuildGraph(ErdosRenyi(25, 0.5, 29));
   const auto expected = BruteForcePerVertex(g, 4);
   for (auto structure : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                         SubgraphKind::kRemap}) {
+                         SubgraphKind::kRemap, SubgraphKind::kBitmap}) {
     const Graph dag = MakeDag(g, OrderingKind::kCore);
     CountOptions options;
     options.k = 4;

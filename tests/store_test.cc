@@ -113,6 +113,15 @@ TEST(Artifact, RoundTripMatchesFreshPipelineRun) {
   }
 }
 
+TEST(Artifact, BuiltDagHoldsNoSlackCapacity) {
+  // Directionalize sizes the DAG's CSR arrays exactly, so the DAG a build
+  // holds weighs what the same DAG weighs once read back by a server.
+  const GraphArtifact built = BuildArtifact(TestGraph());
+  TempFile f("slack.psx");
+  WriteArtifact(f.path(), built);
+  EXPECT_EQ(built.dag.HeapBytes(), ReadArtifact(f.path()).dag.HeapBytes());
+}
+
 TEST(Artifact, ForcedOrderingAndSkippedDegeneracy) {
   const Graph g = TestGraph();
   ArtifactBuildOptions options;
