@@ -4,10 +4,10 @@
 #   1. tools/lint.py               project-invariant linter
 #   2. -Werror build + full ctest  (build-check/), then the same suite
 #      again under OMP_NUM_THREADS=2 so a 2-thread budget exercises real
-#      multi-worker executor teams even on single-core runners, a
-#      micro_exec scheduler-smoke run, and the benchmark's quick-mode
-#      tests (perfbench/tests: every workload and answer check at small
-#      scale, built in .bench_build/)
+#      multi-worker executor teams even on single-core runners,
+#      micro_exec scheduler and micro_store load-path smoke runs, and the
+#      benchmark's quick-mode tests (perfbench/tests: every workload and
+#      answer check at small scale, built in .bench_build/)
 #   3. clang-tidy over src/        when a clang-tidy binary exists
 #   4. TSan build + race shards    (build-check-tsan/)
 # Stage 3 is skipped with a note on toolchains without clang-tidy (the
@@ -34,6 +34,9 @@ OMP_NUM_THREADS=2 ctest --test-dir build-check --output-on-failure \
 
 echo "==> [2/4] micro_exec scheduler smoke"
 ./build-check/bench/micro_exec --benchmark_min_time=0.01
+
+echo "==> [2/4] micro_store load-path smoke"
+./build-check/bench/micro_store --benchmark_min_time=0.01
 
 echo "==> [2/4] perfbench quick-mode tests"
 python3 -m unittest discover -s perfbench/tests

@@ -220,9 +220,15 @@ std::shared_ptr<QueryEngine::Entry> QueryEngine::GetOrLoad(
   // Load outside the cache lock: artifact I/O + validation is the slow
   // part, and other graphs' batches must not stall behind it.
   auto entry = std::make_shared<Entry>();
-  // The DAG is moved out of the temporary; graph and ranks die with it.
-  entry->dag = ReadArtifact(path).dag;
+  const Timer load_timer;
+  std::uint64_t file_bytes = 0;
+  entry->dag = ReadArtifactDag(path, &file_bytes);
   entry->bytes = entry->dag.HeapBytes();
+  if (telemetry != nullptr) {
+    telemetry->AddCounter("service.artifact_load_us",
+                          load_timer.Nanos() / 1000);
+    telemetry->AddCounter("service.artifact_load_bytes", file_bytes);
+  }
 
   std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = cache_.find(path);

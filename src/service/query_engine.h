@@ -6,12 +6,13 @@
 // needs on top:
 //
 //  * An LRU cache of loaded artifacts under a byte budget. Counting reads
-//    only the DAG, so an entry keeps just the DAG (the graph and ranks are
-//    freed right after ReadArtifact validates them) and is charged its
-//    DAG heap bytes. Entries are shared_ptrs, so eviction never frees an
-//    artifact a running batch still uses; the budget is soft in exactly
-//    one way: the most recently touched artifact always stays resident
-//    even if it alone exceeds it.
+//    only the DAG, so a cache miss loads through ReadArtifactDag: the file
+//    is read into one buffer and validated in place (graph and ranks
+//    included), and only the DAG is copied out. An entry keeps just that
+//    DAG and is charged its DAG heap bytes. Entries are shared_ptrs, so
+//    eviction never frees an artifact a running batch still uses; the
+//    budget is soft in exactly one way: the most recently touched
+//    artifact always stays resident even if it alone exceeds it.
 //
 //  * Per-artifact count memoization. A batch's same-graph k-queries are
 //    deduplicated into one counting run: a single kAllUpToK run at the
@@ -35,7 +36,9 @@
 // "service.count" spans, and counters "service.queries",
 // "service.errors", "service.cache_hits" / "service.cache_misses",
 // "service.memo_hits", "service.count_runs",
-// "service.per_vertex_runs", "service.evictions", plus the
+// "service.per_vertex_runs", "service.evictions",
+// "service.artifact_load_us" / "service.artifact_load_bytes" (wall time
+// and file bytes summed over the artifact loads of cache misses), plus the
 // "service.cache_bytes" gauge. Because counting runs straight off the
 // stored DAG, a served batch records *no* "heuristic" / "ordering" /
 // "directionalize" spans — the acceptance signal that the preprocessed

@@ -28,10 +28,13 @@
 //   dag offsets             (num_nodes + 1) x u64
 //   dag neighbors           num_dag_entries x u32
 //   crc64                   u64 over every preceding byte (incl. magic)
-// Files are written atomically (temp + rename); the reader verifies magic,
-// version, endianness, and checksum before parsing, then re-validates every
-// structural invariant (CSR monotonicity, in-range neighbors, rank
-// permutation) so a crafted file cannot reach the counting kernels.
+// Files are written atomically (temp + rename). A load reads the file once
+// into one buffer, verifies magic, version, endianness, and checksum before
+// trusting any size field, then re-validates every structural invariant
+// (CSR monotonicity, in-range neighbors, rank permutation) on that buffer
+// in place, so a crafted file cannot reach the counting kernels. Only what
+// the caller keeps is then copied out. Sections after the ordering name sit
+// at byte 64 + name length and are not naturally aligned.
 #ifndef PIVOTSCALE_STORE_ARTIFACT_H_
 #define PIVOTSCALE_STORE_ARTIFACT_H_
 
@@ -84,9 +87,17 @@ GraphArtifact BuildArtifact(const Graph& g,
 void WriteArtifact(const std::string& path, const GraphArtifact& artifact);
 
 // Loads and fully validates a .psx file. Throws std::runtime_error naming
-// the failure: bad magic, unsupported version, endianness mismatch,
-// checksum mismatch, truncation, or any structural invariant violation.
+// the failure: not a regular file, bad magic, unsupported version,
+// endianness mismatch, checksum mismatch, truncation, or any structural
+// invariant violation.
 GraphArtifact ReadArtifact(const std::string& path);
+
+// The serving load: validates exactly what ReadArtifact validates (the
+// graph CSR and ranks too, in place) and throws the same errors, but copies
+// out only the DAG. When `file_bytes` is non-null it receives the size of
+// the file read.
+Graph ReadArtifactDag(const std::string& path,
+                      std::uint64_t* file_bytes = nullptr);
 
 // The current writer version (reader accepts exactly this).
 inline constexpr std::uint32_t kArtifactVersion = 1;

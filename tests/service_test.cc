@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -240,6 +241,12 @@ TEST_F(ServiceTest, LruEvictionRespectsByteBudget) {
   ASSERT_TRUE(again.ok);
   EXPECT_FALSE(again.artifact_cache_hit);
   EXPECT_EQ(again.total, Standalone(graph_, 5));
+
+  // Load cost is summed over the three cache-miss loads (a, b, a again).
+  EXPECT_EQ(telemetry.Counter("service.artifact_load_bytes"),
+            2 * std::filesystem::file_size(artifact_file_->path()) +
+                std::filesystem::file_size(file_b.path()));
+  EXPECT_GT(telemetry.Counter("service.artifact_load_us"), 0u);
 }
 
 TEST_F(ServiceTest, PerQueryErrorsDoNotPoisonTheBatch) {

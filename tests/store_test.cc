@@ -1,19 +1,27 @@
 // Store subsystem tests: .psx artifacts must round-trip bit-exactly
 // against a fresh pipeline run, reject version/endianness mismatches, and
-// fail the checksum on any bit flip — plus the atomic-write contract every
-// artifact writer shares.
+// fail the checksum on any bit flip; the sliced CRC must match the
+// byte-wise reference; both readers must reject non-regular paths and
+// crafted files that carry a valid checksum — plus the atomic-write
+// contract every artifact writer shares.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "graph/builder.h"
+#include "graph/dag.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "order/core_order.h"
@@ -79,6 +87,53 @@ TEST(Crc64, DetectsEverySingleBitFlipOfASmallPayload) {
           << "undetected flip at byte " << byte << " bit " << bit;
       payload[byte] ^= static_cast<char>(1 << bit);
     }
+  }
+}
+
+// The byte-at-a-time CRC-64/XZ loop the sliced implementation replaced,
+// kept as the reference it must match bit for bit.
+std::uint64_t ReferenceCrc64(const void* bytes, std::size_t size) {
+  std::array<std::uint64_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint64_t crc = i;
+    for (int bit = 0; bit < 8; ++bit)
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xC96C5795D7870F42ull : 0);
+    table[i] = crc;
+  }
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  std::uint64_t state = ~0ull;
+  for (std::size_t i = 0; i < size; ++i)
+    state = (state >> 8) ^ table[(state ^ p[i]) & 0xFF];
+  return ~state;
+}
+
+std::vector<unsigned char> RandomBytes(std::size_t size, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng());
+  return bytes;
+}
+
+TEST(Crc64, MatchesByteWiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..130 cover the pure tail, whole 8-byte steps, and every
+  // step-plus-tail mix; the 8 start offsets cover every misalignment.
+  const std::vector<unsigned char> buf = RandomBytes(8 + 130, 5);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 130; ++len)
+      ASSERT_EQ(Crc64(buf.data() + offset, len),
+                ReferenceCrc64(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+}
+
+TEST(Crc64, UpdateSplitAtEveryOffsetMatchesReference) {
+  const std::vector<unsigned char> payload = RandomBytes(100, 9);
+  const std::uint64_t want = ReferenceCrc64(payload.data(), payload.size());
+  for (std::size_t split = 0; split <= payload.size(); ++split) {
+    std::uint64_t state = Crc64Init();
+    state = Crc64Update(state, payload.data(), split);
+    state = Crc64Update(state, payload.data() + split,
+                        payload.size() - split);
+    EXPECT_EQ(Crc64Final(state), want) << "split at " << split;
   }
 }
 
@@ -208,6 +263,232 @@ TEST_F(ArtifactFileTest, RejectsTruncation) {
 TEST_F(ArtifactFileTest, RejectsTruncatedHeader) {
   bytes_.resize(10);
   ExpectThrowContaining("truncated");
+}
+
+TEST(Artifact, DagOnlyLoadMatchesFullLoad) {
+  const GraphArtifact built = BuildArtifact(TestGraph());
+  TempFile f("dag_only.psx");
+  WriteArtifact(f.path(), built);
+  std::uint64_t file_bytes = 0;
+  const Graph dag = ReadArtifactDag(f.path(), &file_bytes);
+  EXPECT_EQ(file_bytes, ReadAll(f.path()).size());
+  EXPECT_EQ(dag.offsets(), built.dag.offsets());
+  EXPECT_EQ(dag.neighbor_array(), built.dag.neighbor_array());
+  EXPECT_FALSE(dag.undirected());
+  EXPECT_EQ(dag.HeapBytes(), ReadArtifact(f.path()).dag.HeapBytes());
+}
+
+// Both readers must reject `path` with an error containing `what`.
+void ExpectBothReadersReject(const std::string& path,
+                             const std::string& what) {
+  const std::vector<std::pair<const char*, std::function<void()>>> readers =
+      {{"ReadArtifact", [&] { ReadArtifact(path); }},
+       {"ReadArtifactDag", [&] { ReadArtifactDag(path); }}};
+  for (const auto& [name, read] : readers) {
+    SCOPED_TRACE(name);
+    try {
+      read();
+      ADD_FAILURE() << "expected rejection mentioning \"" << what << "\"";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << "actual error: " << e.what();
+    }
+  }
+}
+
+TEST(ArtifactPath, RejectsNonRegularFilesBeforeReading) {
+  // A directory, a FIFO with no writer (which would block a plain open or
+  // read forever), and a device that never reaches end of file: each must
+  // fail at once instead of hanging a server worker or exhausting memory.
+  std::string dir = ::testing::TempDir() + "/psx_special_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string fifo = dir + "/pipe.psx";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+
+  ExpectBothReadersReject(dir, "not a regular file");
+  ExpectBothReadersReject(fifo, "not a regular file");
+  ExpectBothReadersReject("/dev/zero", "not a regular file");
+
+  ::unlink(fifo.c_str());
+  ::rmdir(dir.c_str());
+}
+
+// Files whose structure is wrong but whose trailing CRC is recomputed to
+// match: the checksum passes, so the structural checks must catch them.
+class CraftedArtifactTest : public ArtifactFileTest {
+ protected:
+  // Header field offsets of the layout in store/artifact.h.
+  static constexpr std::size_t kNumNodesAt = 16;
+  static constexpr std::size_t kGraphEntriesAt = 24;
+  static constexpr std::size_t kDagEntriesAt = 32;
+  static constexpr std::size_t kNameLenAt = 56;
+  static constexpr std::size_t kNameAt = 64;
+
+  template <typename T>
+  T Get(std::size_t at) const {
+    T value{};
+    std::memcpy(&value, bytes_.data() + at, sizeof(value));
+    return value;
+  }
+  template <typename T>
+  void Put(std::size_t at, T value) {
+    std::memcpy(bytes_.data() + at, &value, sizeof(value));
+  }
+
+  std::uint64_t NumNodes() const { return Get<std::uint64_t>(kNumNodesAt); }
+  std::size_t GraphOffsetsAt() const {
+    return kNameAt + Get<std::uint32_t>(kNameLenAt);
+  }
+  std::size_t GraphNeighborsAt() const {
+    return GraphOffsetsAt() + (NumNodes() + 1) * sizeof(EdgeId);
+  }
+  std::size_t RanksAt() const {
+    return GraphNeighborsAt() +
+           Get<std::uint64_t>(kGraphEntriesAt) * sizeof(NodeId);
+  }
+  std::size_t DagOffsetsAt() const {
+    return RanksAt() + NumNodes() * sizeof(NodeId);
+  }
+  std::size_t DagNeighborsAt() const {
+    return DagOffsetsAt() + (NumNodes() + 1) * sizeof(EdgeId);
+  }
+
+  // Recomputes the trailing CRC over the (edited) payload.
+  void Reseal() {
+    const std::size_t body = bytes_.size() - sizeof(std::uint64_t);
+    Put(body, Crc64(bytes_.data(), body));
+  }
+
+  void ExpectRejected(const std::string& what) {
+    Reseal();
+    WriteAll(file_->path(), bytes_);
+    ExpectBothReadersReject(file_->path(), what);
+  }
+};
+
+TEST_F(CraftedArtifactTest, TrailerIsTheByteWiseCrcAndResealIsHarmless) {
+  // The writer's trailer equals the reference CRC, so files written before
+  // the sliced CRC load unchanged; resealing an unedited file is a no-op.
+  const std::size_t body = bytes_.size() - sizeof(std::uint64_t);
+  EXPECT_EQ(Get<std::uint64_t>(body), ReferenceCrc64(bytes_.data(), body));
+  const std::string before = bytes_;
+  Reseal();
+  EXPECT_EQ(bytes_, before);
+  // The sections start unaligned, as they do in every served artifact.
+  EXPECT_NE(GraphOffsetsAt() % alignof(EdgeId), 0u);
+}
+
+TEST_F(CraftedArtifactTest, RejectsDecreasingGraphOffsets) {
+  const std::size_t at = GraphOffsetsAt();
+  Put(at + sizeof(EdgeId), Get<EdgeId>(at + 2 * sizeof(EdgeId)) + 1);
+  ExpectRejected("corrupt graph offsets (decreasing at 1)");
+}
+
+TEST_F(CraftedArtifactTest, RejectsOutOfRangeGraphNeighbor) {
+  Put(GraphNeighborsAt(), static_cast<NodeId>(NumNodes()));
+  ExpectRejected("graph neighbor id " + std::to_string(NumNodes()) +
+                 " is out of range");
+}
+
+TEST_F(CraftedArtifactTest, RejectsOutOfRangeDagNeighbor) {
+  Put(DagNeighborsAt() + sizeof(NodeId), static_cast<NodeId>(NumNodes() + 7));
+  ExpectRejected("dag neighbor id " + std::to_string(NumNodes() + 7) +
+                 " is out of range");
+}
+
+TEST_F(CraftedArtifactTest, RejectsRanksThatAreNotAPermutation) {
+  Put(RanksAt() + sizeof(NodeId), Get<NodeId>(RanksAt()));
+  ExpectRejected("stored ranks are not a permutation");
+}
+
+TEST_F(CraftedArtifactTest, RejectsNumNodesAboveNodeIdLimit) {
+  Put(kNumNodesAt, std::uint64_t{1} << 32);
+  ExpectRejected("exceeds the NodeId limit");
+}
+
+TEST_F(CraftedArtifactTest, RejectsDisagreeingHeaderEdgeCounts) {
+  Put(kDagEntriesAt, Get<std::uint64_t>(kDagEntriesAt) + 1);
+  ExpectRejected("header edge counts disagree");
+}
+
+TEST_F(CraftedArtifactTest, RejectsElementCountLargerThanTheFile) {
+  // Consistent header counts far beyond the file size.
+  Put(kGraphEntriesAt, std::uint64_t{1} << 41);
+  Put(kDagEntriesAt, std::uint64_t{1} << 40);
+  ExpectRejected("element count " + std::to_string(std::uint64_t{1} << 41) +
+                 " exceeds the file size");
+}
+
+TEST_F(CraftedArtifactTest, RejectsTrailingBytes) {
+  bytes_.insert(bytes_.size() - sizeof(std::uint64_t), 4, '\0');
+  ExpectRejected("trailing bytes after the payload");
+}
+
+// The invariants a loaded CSR must satisfy whatever the file held.
+void ExpectValidCsr(const Graph& g, NodeId num_nodes) {
+  const std::vector<EdgeId>& offsets = g.offsets();
+  ASSERT_EQ(offsets.size(), static_cast<std::size_t>(num_nodes) + 1);
+  EXPECT_EQ(offsets.front(), 0u);
+  EXPECT_EQ(offsets.back(), g.neighbor_array().size());
+  for (NodeId u = 0; u < num_nodes; ++u)
+    ASSERT_LE(offsets[u], offsets[u + 1]) << "at " << u;
+  for (NodeId v : g.neighbor_array()) ASSERT_LT(v, num_nodes);
+}
+
+TEST_F(CraftedArtifactTest, SeededMutationsThrowOrYieldValidCsrs) {
+  // Random byte edits with a recomputed CRC: each load must either throw
+  // runtime_error or return CSRs that satisfy every invariant, and the two
+  // readers must agree. Half the edits hit the header and name, where one
+  // byte moves a size field; under ASan/UBSan this also checks that every
+  // in-place load stays inside the buffer and never assumes alignment.
+  const std::string pristine = bytes_;
+  const std::size_t body = pristine.size() - sizeof(std::uint64_t);
+  const std::size_t header = GraphOffsetsAt();
+  std::mt19937_64 rng(20240611);
+  int rejected = 0;
+  int accepted = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    SCOPED_TRACE(iter);
+    bytes_ = pristine;
+    const int edits = 1 + static_cast<int>(rng() % 4);
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t at = (rng() & 1) ? rng() % header : rng() % body;
+      bytes_[at] = static_cast<char>(rng());
+    }
+    Reseal();
+    WriteAll(file_->path(), bytes_);
+
+    bool full_ok = false;
+    GraphArtifact full;
+    try {
+      full = ReadArtifact(file_->path());
+      full_ok = true;
+    } catch (const std::runtime_error&) {
+    }
+    bool dag_ok = false;
+    Graph dag;
+    try {
+      dag = ReadArtifactDag(file_->path());
+      dag_ok = true;
+    } catch (const std::runtime_error&) {
+    }
+    ASSERT_EQ(full_ok, dag_ok);
+    if (!full_ok) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const NodeId n = full.graph.NumNodes();
+    ExpectValidCsr(full.graph, n);
+    ExpectValidCsr(full.dag, n);
+    EXPECT_EQ(full.ranks.size(), n);
+    EXPECT_TRUE(IsPermutation(full.ranks));
+    EXPECT_EQ(dag.offsets(), full.dag.offsets());
+    EXPECT_EQ(dag.neighbor_array(), full.dag.neighbor_array());
+  }
+  // The loop exercised both outcomes.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
 }
 
 // ---------------------------------------------------------- atomic write
