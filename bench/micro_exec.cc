@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark): the execution layer itself.
 // Measures what the scheduler adds and costs — chunk-bound construction
-// in both modes, self-scheduling overhead at different granularities,
-// reduction throughput, the thread-budget lease path, and the counting
-// driver across split thresholds (never / default / every root).
+// in both modes, the per-region entry cost of the fork-join pool,
+// self-scheduling overhead at different granularities, reduction
+// throughput, the thread-budget lease path, and the counting driver
+// across split thresholds (never / default / every root).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -48,6 +49,22 @@ void BM_ThreadBudgetAcquireRelease(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThreadBudgetAcquireRelease);
+
+// Per-region entry cost: back-to-back regions with the whole budget
+// (num_threads = 0) and an empty body over team x 8 items, so nothing
+// hides the lease, the fork and the join. `team` is the mean realized
+// team.
+void BM_EmptyRegion(benchmark::State& state) {
+  const ExecOptions options;
+  const std::size_t items =
+      8 * static_cast<std::size_t>(ThreadBudget::Global().capacity());
+  double team = 0;
+  for (auto _ : state)
+    team += ParallelFor(items, options, [](std::size_t) {}).team;
+  state.counters["team"] =
+      benchmark::Counter(team, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_EmptyRegion);
 
 // Region launch + teardown overhead against a trivial body, across
 // self-scheduling granularities (arg = chunks_per_worker).

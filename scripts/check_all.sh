@@ -3,13 +3,14 @@
 # runnable before a push. Stages:
 #   1. tools/lint.py               project-invariant linter
 #   2. -Werror build + full ctest  (build-check/), then the same suite
-#      again under OMP_NUM_THREADS=2 so a 2-thread budget exercises real
-#      multi-worker executor teams even on single-core runners,
+#      again under OMP_NUM_THREADS=2 (the thread budget's capacity) so
+#      real multi-worker executor teams run even on single-core runners,
 #      micro_exec scheduler and micro_store load-path smoke runs, and the
 #      benchmark's quick-mode tests (perfbench/tests: every workload and
 #      answer check at small scale, built in .bench_build/)
 #   3. clang-tidy over src/        when a clang-tidy binary exists
-#   4. TSan build + race shards    (build-check-tsan/)
+#   4. TSan build + race shards    (build-check-tsan/; no suppression
+#      file: every thread the tree runs is instrumented)
 # Stage 3 is skipped with a note on toolchains without clang-tidy (the
 # config is .clang-tidy; CI always runs it). Pass --fast to stop after
 # stage 2. Exits non-zero on the first failing stage.
@@ -55,10 +56,10 @@ else
   echo "    .github/workflows/analysis.yml)"
 fi
 
-echo "==> [4/4] TSan build + race/net/service shards"
+echo "==> [4/4] TSan build + race/net/service/check/exec/bitmap shards"
 cmake -B build-check-tsan -S . -DPIVOTSCALE_TSAN=ON >/dev/null
 cmake --build build-check-tsan -j"${JOBS}"
-ctest --test-dir build-check-tsan -R 'race|net|service|check' \
+ctest --test-dir build-check-tsan -R 'race|net|service|check|exec|bitmap' \
   --output-on-failure
 
 echo "==> all analysis stages passed"

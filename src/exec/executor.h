@@ -1,15 +1,15 @@
 // The unified parallel execution layer. Every parallel loop in the tree
-// runs through these primitives; the only raw `#pragma omp parallel`
-// regions outside this directory live in util/prefix_sum.h (allowlisted —
-// see tools/lint.py `raw-omp-parallel`).
+// runs through these primitives, on the process-wide fork-join pool of
+// exec/pool.h; nothing in the tree uses OpenMP (tools/lint.py
+// `no-openmp`).
 //
-// What this layer adds over a bare OpenMP pragma:
+// What this layer adds over a bare fork-join loop:
 //   * a team leased from the process-wide ThreadBudget, so concurrent
 //     regions (serving workers x counting teams) cannot oversubscribe the
 //     machine;
 //   * per-worker reduction slots: each worker gets a private accumulator
 //     built by a factory and the caller merges them serially after the
-//     region — no `critical` sections anywhere;
+//     region — no locks anywhere;
 //   * cost-weighted adaptive chunking: an optional per-item cost estimate
 //     turns into chunk boundaries of roughly equal estimated work, so a
 //     few heavy items do not serialize the tail of the loop;
@@ -17,14 +17,13 @@
 //     and chunk-count series, team size, and busy-time CoV.
 //
 // Sizing is always realized-team authoritative: per-worker arrays are
-// sized to omp_get_num_threads() inside the region, never to the request
-// (OpenMP may deliver fewer threads, e.g. a team of 1 inside an active
-// region with nesting disabled).
+// trimmed to the threads that actually joined the region, never sized to
+// the request or the grant (the pool may deliver fewer, e.g. when its
+// helpers are busy in another region or a parked helper wakes too late).
 #ifndef PIVOTSCALE_EXEC_EXECUTOR_H_
 #define PIVOTSCALE_EXEC_EXECUTOR_H_
 
-#include <omp.h>
-
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -33,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/pool.h"
 #include "exec/thread_budget.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -108,25 +108,13 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
   stats.chunks = num_chunks;
   stats.splits = options.splits;
 
+  stats.worker_busy_seconds.assign(granted, 0.0);
+  stats.worker_chunks.assign(granted, 0);
   std::vector<std::optional<Worker>> slots(
       static_cast<std::size_t>(granted));
   std::atomic<std::size_t> cursor{0};
-  Timer wall;
-#pragma omp parallel num_threads(granted)
-  {
-    const int tid = omp_get_thread_num();
-#pragma omp single
-    {
-      // Realized team is authoritative for every per-worker array; the
-      // request (and even the grant) may not be delivered in full.
-      const int team = omp_get_num_threads();
-      stats.team = team;
-      stats.worker_busy_seconds.assign(team, 0.0);
-      stats.worker_chunks.assign(team, 0);
-    }
-    // (single's implicit barrier: every thread sees the sized arrays)
-    CHECK_LT(static_cast<std::size_t>(tid), slots.size())
-        << "exec: OpenMP delivered a thread id outside the granted team";
+  auto run_worker = [&](int tid) {
+    DCHECK_LT(static_cast<std::size_t>(tid), slots.size());
     slots[tid].emplace(make_worker(tid));
     std::uint64_t my_chunks = 0;
     Timer busy;
@@ -139,8 +127,22 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
     }
     stats.worker_busy_seconds[tid] = busy.Seconds();
     stats.worker_chunks[tid] = my_chunks;
-  }
+  };
+  using RunWorker = decltype(run_worker);
+  // Members beyond the chunk count would join only to find nothing left.
+  const int max_team = static_cast<int>(std::min<std::size_t>(
+      granted, std::max<std::size_t>(num_chunks, 1)));
+  Timer wall;
+  stats.team = exec_detail::RunTeam(
+      max_team,
+      [](void* context, int tid) {
+        (*static_cast<RunWorker*>(context))(tid);
+      },
+      &run_worker);
   stats.seconds = wall.Seconds();
+  // The realized team is authoritative: tids 0..team-1 ran.
+  stats.worker_busy_seconds.resize(stats.team);
+  stats.worker_chunks.resize(stats.team);
 
   for (auto& slot : slots)
     if (slot.has_value()) merge(*slot);

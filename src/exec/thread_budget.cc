@@ -1,12 +1,36 @@
 #include "exec/thread_budget.h"
 
-#include <omp.h>
+#include <sched.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <thread>
 
 #include "util/check.h"
+#include "util/cli.h"
 
 namespace pivotscale {
+namespace {
+
+// OMP_NUM_THREADS when it is a positive integer (capped at the ceiling
+// the --threads flags accept), otherwise the CPUs this process may run
+// on.
+int DefaultCapacity() {
+  if (const char* env = std::getenv("OMP_NUM_THREADS")) {
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && errno == 0 && value > 0)
+      return static_cast<int>(std::min<long>(value, kMaxThreadsFlag));
+  }
+  cpu_set_t cpus;
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0)
+    return CPU_COUNT(&cpus);
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
+}  // namespace
 
 void ThreadLease::Release() {
   if (budget_ != nullptr) budget_->Release(threads_);
@@ -14,16 +38,8 @@ void ThreadLease::Release() {
   threads_ = 0;
 }
 
-ThreadBudget::ThreadBudget(int capacity) : capacity_(capacity) {
-  if (capacity_ <= 0) {
-    // omp_get_max_threads() inside an active region reports the nested
-    // default (1 with nesting disabled), which would pin the budget of the
-    // whole process to a single thread forever.
-    capacity_ = omp_in_parallel() ? omp_get_num_procs()
-                                  : omp_get_max_threads();
-  }
-  capacity_ = std::max(1, capacity_);
-}
+ThreadBudget::ThreadBudget(int capacity)
+    : capacity_(std::max(1, capacity > 0 ? capacity : DefaultCapacity())) {}
 
 ThreadBudget& ThreadBudget::Global() {
   static ThreadBudget budget;

@@ -95,8 +95,9 @@ struct CountResult {
   // Sum of the per-thread subgraph workspace footprints.
   std::size_t workspace_bytes = 0;
   // Per-thread busy seconds, for the load-balance CoV analysis (Section IV).
-  // Sized to the *actual* OpenMP team size (which may be smaller than the
-  // requested thread count), so imbalance stats carry no phantom zeros.
+  // Sized to the realized team (the threads that joined the region, which
+  // may be fewer than requested), so imbalance stats carry no phantom
+  // zeros.
   std::vector<double> thread_busy_seconds;
 };
 

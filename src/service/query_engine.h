@@ -30,7 +30,7 @@
 // exec-layer scheduler, which leases its threads from the process-wide
 // ThreadBudget (exec/thread_budget.h): when several batches count at
 // once each run's team shrinks so the total stays within the machine,
-// rather than each run independently spinning up a full OpenMP pool.
+// rather than each run independently claiming the whole machine.
 //
 // Telemetry (when a registry is configured): "service.batch" and
 // "service.count" spans, and counters "service.queries",

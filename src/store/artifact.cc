@@ -65,6 +65,44 @@ struct FileImage {
   std::size_t size = 0;
 };
 
+// Reads exactly `bytes` bytes from `fd` into `out`.
+void ReadFully(int fd, const std::string& path, unsigned char* out,
+               std::size_t bytes) {
+  std::size_t got = 0;
+  while (got < bytes) {
+    const ssize_t n = ::read(fd, out + got, bytes - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw std::runtime_error(path + ": read failure");
+    if (n == 0)
+      throw std::runtime_error(path +
+                               ": read failure (file shrank while reading)");
+    got += static_cast<std::size_t>(n);
+  }
+}
+
+// Size, magic, version and endianness, in that order. Runs on the fixed
+// header alone, before the rest of the file is allocated or read.
+void CheckHeader(const std::string& path, std::size_t file_size,
+                 int fd, unsigned char* header) {
+  if (file_size < kFixedHeader + sizeof(std::uint64_t))
+    throw std::runtime_error(path + ": truncated artifact header");
+  ReadFully(fd, path, header, kFixedHeader);
+  if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
+    throw std::runtime_error(path + ": not a PSX1 artifact file");
+
+  const auto version = Load<std::uint32_t>(header + 4);
+  const auto endian = Load<std::uint32_t>(header + 8);
+  if (version != kArtifactVersion)
+    throw std::runtime_error(
+        path + ": unsupported artifact version " + std::to_string(version) +
+        " (this reader supports version " +
+        std::to_string(kArtifactVersion) + ")");
+  if (endian != kEndianSentinel)
+    throw std::runtime_error(path +
+                             ": endianness mismatch (artifact was written "
+                             "on an incompatible platform)");
+}
+
 FileImage ReadFileImage(const std::string& path) {
   // O_NONBLOCK keeps open() itself from waiting on a FIFO with no writer;
   // it has no effect on the regular files that get past the S_ISREG check.
@@ -79,19 +117,18 @@ FileImage ReadFileImage(const std::string& path) {
   if (!S_ISREG(st.st_mode))
     throw std::runtime_error(path + ": not a regular file");
 
+  // A file that is not an artifact costs one header read, however large
+  // it claims to be.
+  const auto size = static_cast<std::size_t>(st.st_size);
+  unsigned char header[kFixedHeader];
+  CheckHeader(path, size, fd, header);
+
   FileImage image;
-  image.size = static_cast<std::size_t>(st.st_size);
+  image.size = size;
   image.bytes = std::make_unique_for_overwrite<unsigned char[]>(image.size);
-  std::size_t got = 0;
-  while (got < image.size) {
-    const ssize_t n = ::read(fd, image.bytes.get() + got, image.size - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) throw std::runtime_error(path + ": read failure");
-    if (n == 0)
-      throw std::runtime_error(path +
-                               ": read failure (file shrank while reading)");
-    got += static_cast<std::size_t>(n);
-  }
+  std::memcpy(image.bytes.get(), header, kFixedHeader);
+  ReadFully(fd, path, image.bytes.get() + kFixedHeader,
+            image.size - kFixedHeader);
   return image;
 }
 
@@ -187,27 +224,12 @@ void ValidateCsr(const std::string& path, const char* what,
   }
 }
 
-// Checks magic, version and endianness, then the whole-file CRC, then
-// every header and structural invariant, all on the image itself.
+// Checks the whole-file CRC, then every header and structural invariant,
+// all on the image itself. ReadFileImage has already checked the header's
+// size, magic, version and endianness.
 ParsedArtifact ParseArtifact(const std::string& path,
                              const FileImage& image) {
   const unsigned char* data = image.bytes.get();
-  if (image.size < kFixedHeader + sizeof(std::uint64_t))
-    throw std::runtime_error(path + ": truncated artifact header");
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
-    throw std::runtime_error(path + ": not a PSX1 artifact file");
-
-  const auto version = Load<std::uint32_t>(data + 4);
-  const auto endian = Load<std::uint32_t>(data + 8);
-  if (version != kArtifactVersion)
-    throw std::runtime_error(
-        path + ": unsupported artifact version " + std::to_string(version) +
-        " (this reader supports version " +
-        std::to_string(kArtifactVersion) + ")");
-  if (endian != kEndianSentinel)
-    throw std::runtime_error(path +
-                             ": endianness mismatch (artifact was written "
-                             "on an incompatible platform)");
 
   // Whole-file integrity before trusting any size field: a flipped bit
   // anywhere must fail here, not surface as a subtle parse difference.
@@ -221,7 +243,7 @@ ParsedArtifact ParseArtifact(const std::string& path,
                              "); the artifact is corrupt");
 
   ByteReader reader(path, data, body_size);
-  reader.Take(sizeof(kMagic) + 3 * sizeof(std::uint32_t));  // checked above
+  reader.Take(sizeof(kMagic) + 3 * sizeof(std::uint32_t));  // CheckHeader
   ParsedArtifact parsed;
   parsed.num_nodes = reader.ReadScalar<std::uint64_t>();
   const auto num_graph_entries = reader.ReadScalar<std::uint64_t>();

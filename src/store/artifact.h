@@ -28,9 +28,11 @@
 //   dag offsets             (num_nodes + 1) x u64
 //   dag neighbors           num_dag_entries x u32
 //   crc64                   u64 over every preceding byte (incl. magic)
-// Files are written atomically (temp + rename). A load reads the file once
-// into one buffer, verifies magic, version, endianness, and checksum before
-// trusting any size field, then re-validates every structural invariant
+// Files are written atomically (temp + rename). A load first reads only the
+// fixed header and checks magic, version and endianness, so a file that is
+// not an artifact is never allocated or read in full. It then reads the
+// file once into one buffer, verifies the checksum before trusting any size
+// field, then re-validates every structural invariant
 // (CSR monotonicity, in-range neighbors, rank permutation) on that buffer
 // in place, so a crafted file cannot reach the counting kernels. Only what
 // the caller keeps is then copied out. Sections after the ordering name sit

@@ -1,18 +1,19 @@
 // Parallel exclusive prefix sum.
 //
 // Used by the CSR builder and the orderings to turn per-vertex counts into
-// offsets. The implementation blocks the input, scans blocks in parallel,
-// sequentially scans the block totals, then applies offsets in parallel —
-// the standard two-pass OpenMP scan.
+// offsets. The input is cut into fixed blocks: one ParallelFor scans each
+// block locally, a serial pass scans the block totals, and a second
+// ParallelFor adds each block's offset. The block size is fixed, so the
+// result and the work do not depend on the team the budget grants.
 #ifndef PIVOTSCALE_UTIL_PREFIX_SUM_H_
 #define PIVOTSCALE_UTIL_PREFIX_SUM_H_
 
-#include <omp.h>
-
-#include <cstdint>
+#include <algorithm>
+#include <cstddef>
 #include <type_traits>
 #include <vector>
 
+#include "exec/executor.h"
 #include "util/check.h"
 
 namespace pivotscale {
@@ -24,45 +25,37 @@ T ParallelPrefixSum(const std::vector<T>& in, std::vector<T>* out) {
   static_assert(std::is_unsigned_v<T>,
                 "ParallelPrefixSum requires an unsigned accumulator");
   CHECK(out != nullptr);
+  constexpr std::size_t kBlock = std::size_t{1} << 14;
   const std::size_t n = in.size();
   out->resize(n);
-  if (n == 0) return T{0};
+  const std::size_t num_blocks = (n + kBlock - 1) / kBlock;
+  // block_totals[b + 1] = sum of block b; scanned in place below.
+  std::vector<T> block_totals(num_blocks + 1, T{0});
+  const ExecOptions options;
 
-  const int num_threads = omp_get_max_threads();
-  std::vector<T> block_totals(num_threads + 1, T{0});
-  int used_threads = 1;
-
-#pragma omp parallel num_threads(num_threads)
-  {
-    const int tid = omp_get_thread_num();
-    const int nthreads = omp_get_num_threads();
-    const std::size_t chunk = (n + nthreads - 1) / nthreads;
-    const std::size_t begin = std::min(n, chunk * tid);
-    const std::size_t end = std::min(n, begin + chunk);
-
-    // Pass 1: local exclusive scan per block.
+  // Pass 1: local exclusive scan per block.
+  ParallelFor(num_blocks, options, [&](std::size_t b) {
+    const std::size_t end = std::min(n, (b + 1) * kBlock);
     T local = T{0};
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t i = b * kBlock; i < end; ++i) {
       const T v = in[i];  // read before write: in may alias out
       (*out)[i] = local;
       local += v;
     }
-    block_totals[tid + 1] = local;
+    block_totals[b + 1] = local;
+  });
 
-#pragma omp barrier
-#pragma omp single
-    {
-      used_threads = nthreads;
-      for (int t = 1; t <= nthreads; ++t)
-        block_totals[t] += block_totals[t - 1];
-    }
+  for (std::size_t b = 1; b <= num_blocks; ++b)
+    block_totals[b] += block_totals[b - 1];
 
-    // Pass 2: offset each block by the preceding blocks' totals.
-    const T offset = block_totals[tid];
-    if (offset != T{0})
-      for (std::size_t i = begin; i < end; ++i) (*out)[i] += offset;
-  }
-  return block_totals[used_threads];
+  // Pass 2: offset each block by the preceding blocks' totals.
+  ParallelFor(num_blocks, options, [&](std::size_t b) {
+    const T offset = block_totals[b];
+    if (offset == T{0}) return;
+    const std::size_t end = std::min(n, (b + 1) * kBlock);
+    for (std::size_t i = b * kBlock; i < end; ++i) (*out)[i] += offset;
+  });
+  return block_totals[num_blocks];
 }
 
 }  // namespace pivotscale

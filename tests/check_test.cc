@@ -96,9 +96,9 @@ TEST(DcheckTest, CompiledOutDchecksSwallowStreamedMessages) {
 
 // ------------------------------------------------- guarded real invariants
 
-// Death tests that re-enter OpenMP regions must re-exec instead of fork:
-// a forked child of a process that already spawned a team can wedge inside
-// libgomp before reaching the expected abort.
+// These death tests re-exec instead of fork, so each child starts from a
+// clean process rather than a copy of one that has parallel regions (and
+// pool helper threads) behind it.
 class SeededCorruptionDeathTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -10,10 +10,9 @@
 // carries the entire count and must still match brute force.
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <algorithm>
 
+#include "exec/thread_budget.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "pivot/count.h"
@@ -263,27 +262,22 @@ TEST(PipelineMode, AllKStillForcesAllK) {
 // --------------------------------- busy-time team sizing (regression)
 
 TEST(ThreadBusySeconds, SizedToActualTeamNotRequest) {
-  // Inside an active parallel region with nesting disabled, OpenMP
-  // delivers a team of 1 regardless of num_threads. Pre-fix the result
-  // carried 4 slots, 3 of them phantom zeros diluting imbalance stats.
+  // While this thread holds the whole budget, a run that asks for 4
+  // threads realizes a team of 1. Pre-fix the result carried 4 slots, 3 of
+  // them phantom zeros diluting imbalance stats.
   const Graph g = BuildGraph(CompleteGraph(12));
   const Graph dag = MakeDag(g, OrderingKind::kDegree);
   CountOptions options;
   options.k = 3;
   options.num_threads = 4;
 
-  const int prev_levels = omp_get_max_active_levels();
-  omp_set_max_active_levels(1);
   CountResult vertex, edge;
-#pragma omp parallel num_threads(2)
   {
-#pragma omp single
-    {
-      vertex = CountCliques(dag, options);
-      edge = CountCliquesEdgeParallel(dag, options);
-    }
+    ThreadBudget& budget = ThreadBudget::Global();
+    const ThreadLease held = budget.Acquire(budget.capacity());
+    vertex = CountCliques(dag, options);
+    edge = CountCliquesEdgeParallel(dag, options);
   }
-  omp_set_max_active_levels(prev_levels);
 
   EXPECT_EQ(vertex.thread_busy_seconds.size(), 1u);
   EXPECT_EQ(edge.thread_busy_seconds.size(), 1u);

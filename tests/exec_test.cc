@@ -8,6 +8,7 @@
 //   * ArgParser::GetThreads rejecting 0 / negative / absurd values
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -196,7 +197,7 @@ TEST(Executor, StatsAreSizedToRealizedTeam) {
 TEST(Executor, EveryRealizedWorkerIsMergedOnce) {
   ExecOptions options;
   options.num_threads = 2;
-  int built = 0;
+  std::atomic<int> built{0};
   int merged = 0;
   ParallelForWorkers(
       100, options,
@@ -209,8 +210,8 @@ TEST(Executor, EveryRealizedWorkerIsMergedOnce) {
         ++merged;
         EXPECT_GE(acc, 0);
       });
-  EXPECT_EQ(merged, built);
-  EXPECT_GE(built, 1);
+  EXPECT_EQ(merged, built.load());
+  EXPECT_GE(built.load(), 1);
 }
 
 TEST(Executor, EmptyRangeStillMergesWorkers) {

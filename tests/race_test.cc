@@ -10,6 +10,8 @@
 //   * concurrent executor counting runs (per-thread subgraph pools)
 //   * executor reduction slots + chunk cursor + thread-budget ledger
 //     under concurrent ParallelReduce / forced-split counting runs
+//   * the fork-join pool: nested regions opened from concurrent threads,
+//     and a region that wants more helpers than are idle
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "exec/executor.h"
+#include "exec/thread_budget.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "net/worker_pool.h"
@@ -283,7 +286,7 @@ TEST(RaceTest, WorkerPoolShedsAndDrainsWithExactAccounting) {
 // ---------------------------------------------- executor reduction slots
 
 TEST(RaceTest, ReductionSlotsAccumulateExactlyUnderContention) {
-  // Per-worker reduction slots replaced every `#pragma omp critical`
+  // Per-worker reduction slots replaced every critical-section
   // merge: each worker owns one slot, the merge walks them serially after
   // the region. Several std::threads run reductions simultaneously so the
   // slots, the atomic chunk cursor, and the thread-budget ledger all see
@@ -320,6 +323,99 @@ TEST(RaceTest, ReductionSlotsAccumulateExactlyUnderContention) {
   }
   JoinAll(threads);
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ---------------------------------------------------- fork-join pool
+
+TEST(RaceTest, NestedRegionsFromConcurrentThreadsAreExact) {
+  // Four std::threads each open regions whose bodies open a nested
+  // ParallelReduce, so outer and inner regions from every thread compete
+  // for the same pool helpers and budget. Outer item o contributes
+  // (o + 1) * sum(0..kInner-1).
+  constexpr int kThreads = 4;
+  constexpr int kRunsPerThread = 6;
+  constexpr std::uint64_t kOuter = 48;
+  constexpr std::uint64_t kInner = 400;
+  constexpr std::uint64_t kWant =
+      kOuter * (kOuter + 1) / 2 * (kInner * (kInner - 1) / 2);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&mismatches, t] {
+      for (int run = 0; run < kRunsPerThread; ++run) {
+        ExecOptions outer;
+        outer.num_threads = (t + run) % 2 == 0 ? 0 : 2;
+        const std::uint64_t total = ParallelReduce(
+            kOuter, outer, std::uint64_t{0},
+            [](std::uint64_t& acc, std::size_t o) {
+              ExecOptions inner;
+              inner.num_threads = 2;
+              inner.chunks_per_worker = 4;
+              acc += (o + 1) *
+                     ParallelReduce(
+                         kInner, inner, std::uint64_t{0},
+                         [](std::uint64_t& a, std::size_t i) { a += i; },
+                         [](std::uint64_t& into, std::uint64_t from) {
+                           into += from;
+                         });
+            },
+            [](std::uint64_t& into, std::uint64_t from) { into += from; });
+        if (total != kWant) mismatches.fetch_add(1);
+      }
+    });
+  }
+  JoinAll(threads);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(RaceTest, RegionWantingMoreHelpersThanAreIdleIsExact) {
+  // A holder thread pins the pool's helpers inside a region that blocks
+  // until released. With the budget then raised so the lease is not the
+  // limit, regions on this thread want more helpers than are idle: they
+  // must run with the caller plus whatever joins (spawned on demand) and
+  // still give the closed-form total.
+  ThreadBudget& budget = ThreadBudget::Global();
+  const int capacity = budget.capacity();
+  ParallelFor(static_cast<std::size_t>(capacity) * 8, ExecOptions{},
+              [](std::size_t) {});  // pool at its full complement
+
+  std::atomic<bool> release{false};
+  std::atomic<int> pinned{0};
+  std::thread holder([&] {
+    ExecOptions options;
+    options.chunks_per_worker = 1;
+    ParallelFor(static_cast<std::size_t>(capacity), options,
+                [&](std::size_t) {
+                  pinned.fetch_add(1);
+                  while (!release.load()) std::this_thread::yield();
+                });
+  });
+  while (pinned.load() == 0) std::this_thread::yield();
+
+  budget.SetCapacity(capacity + 2);
+  constexpr std::size_t kN = 20'000;
+  constexpr std::uint64_t kWant = kN * (kN - 1) / 2;
+  int mismatches = 0;
+  for (int run = 0; run < 8; ++run) {
+    ExecOptions options;
+    options.num_threads = 3;
+    std::uint64_t total = 0;
+    const ExecStats stats = ParallelForWorkers(
+        kN, options, [](int) { return std::uint64_t{0}; },
+        [](std::uint64_t& acc, std::size_t i) { acc += i; },
+        [&total](std::uint64_t& acc) { total += acc; });
+    if (total != kWant) ++mismatches;
+    EXPECT_GE(stats.team, 1);
+    EXPECT_LE(stats.team, 3);
+    EXPECT_EQ(stats.worker_chunks.size(),
+              static_cast<std::size_t>(stats.team));
+  }
+  release.store(true);
+  holder.join();
+  budget.SetCapacity(capacity);
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(RaceTest, ForcedSplitCountingRunsAgreeUnderConcurrency) {

@@ -4,6 +4,7 @@
 // byte-wise reference; both readers must reject non-regular paths and
 // crafted files that carry a valid checksum — plus the atomic-write
 // contract every artifact writer shares.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -310,6 +311,23 @@ TEST(ArtifactPath, RejectsNonRegularFilesBeforeReading) {
   ExpectBothReadersReject("/dev/zero", "not a regular file");
 
   ::unlink(fifo.c_str());
+  ::rmdir(dir.c_str());
+}
+
+TEST(ArtifactPath, RejectsAHugeSparseFileFromItsHeader) {
+  // 64 GiB of holes: the header check must reject the file before either
+  // reader allocates or reads it in full.
+  std::string dir = ::testing::TempDir() + "/psx_sparse_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/huge.psx";
+  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0600);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, off_t{64} << 30), 0);
+  ::close(fd);
+
+  ExpectBothReadersReject(path, "not a PSX1 artifact file");
+
+  ::unlink(path.c_str());
   ::rmdir(dir.c_str());
 }
 

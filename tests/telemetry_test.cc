@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "exec/executor.h"
 #include "graph/builder.h"
 #include "graph/dag.h"
 #include "graph/generators.h"
@@ -117,8 +118,8 @@ TEST(TelemetryRegistry, ScopedSpanRecordsAndNullIsNoop) {
 
 TEST(TelemetryRegistry, ConcurrentCountersAreExact) {
   TelemetryRegistry reg;
-#pragma omp parallel for
-  for (int i = 0; i < 1000; ++i) reg.AddCounter("hits", 1);
+  ParallelFor(1000, ExecOptions{},
+              [&reg](std::size_t) { reg.AddCounter("hits", 1); });
   EXPECT_EQ(reg.Counter("hits"), 1000u);
 }
 

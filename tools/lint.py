@@ -17,13 +17,13 @@ Checks conventions a compiler cannot see:
                    mode) are only allowed inside util/atomic_file.cc; all
                    other writers must go through WriteFileAtomic so readers
                    can never observe a truncated artifact.
-  raw-omp-parallel `#pragma omp parallel` is banned outside the exec layer
-                   (src/exec/) and src/util/prefix_sum.h: every parallel
-                   region in src/, bench/, and examples/ must go through
-                   the Executor primitives (ParallelFor / ParallelReduce /
-                   ParallelForWorkers) so thread budgeting, chunking, and
-                   exec.* telemetry stay uniform (tests/ exempt: harness
-                   tests may open raw regions to probe executor behavior).
+  no-openmp        `#pragma omp` and `<omp.h>` are banned everywhere in
+                   src/, tests/, bench/, and examples/, with no allowlist:
+                   every parallel loop goes through the Executor
+                   primitives (ParallelFor / ParallelReduce /
+                   ParallelForWorkers) on the one fork-join pool, so
+                   thread budgeting, chunking, exec.* telemetry and TSan
+                   coverage stay uniform.
 
 Exit status: 0 when clean, 1 when any finding was printed. Run from
 anywhere; paths resolve relative to the repo root (this file's parent's
@@ -50,15 +50,7 @@ WRITE_HANDLE_RE = re.compile(
 # deliberately dynamic telemetry counter names.
 ATOMIC_WRITE_OWNER = "util/atomic_file.cc"
 
-OMP_PARALLEL_RE = re.compile(r"#\s*pragma\s+omp\s+parallel\b")
-
-# Files allowed to open raw OpenMP parallel regions: the executor itself
-# and the two-pass prefix sum (a barrier-structured region the Executor's
-# chunked self-scheduling loop cannot express).
-OMP_PARALLEL_ALLOWLIST = (
-    "src/exec/",
-    "src/util/prefix_sum.h",
-)
+OPENMP_RE = re.compile(r"#\s*pragma\s+omp\b|#\s*include\s*<omp\.h>")
 
 
 def strip_comments_and_strings(text):
@@ -146,12 +138,10 @@ def iter_findings_for_file(path):
                        "^[a-z]+(\\.[a-z_]+)+$")
 
     in_src = rel.startswith("src/")
-    omp_enforced = (not is_test
-                    and not rel.startswith(OMP_PARALLEL_ALLOWLIST))
     for lineno, line in enumerate(code_lines, 1):
-        if omp_enforced and OMP_PARALLEL_RE.search(line):
-            yield (rel, lineno, "raw-omp-parallel",
-                   "raw `#pragma omp parallel` outside src/exec/; "
+        if OPENMP_RE.search(line):
+            yield (rel, lineno, "no-openmp",
+                   "OpenMP is not used in this tree; "
                    "use the Executor primitives (exec/executor.h)")
         if in_src and LIBC_RANDOM_RE.search(line):
             yield (rel, lineno, "no-libc-random",
@@ -207,7 +197,7 @@ def main(argv):
 
     if args.list_rules:
         print("telemetry-name no-libc-random no-naked-new include-guards "
-              "atomic-writes raw-omp-parallel")
+              "atomic-writes no-openmp")
         return 0
 
     if args.files:
