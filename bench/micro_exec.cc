@@ -67,15 +67,25 @@ void BM_EmptyRegion(benchmark::State& state) {
 BENCHMARK(BM_EmptyRegion);
 
 // Region launch + teardown overhead against a trivial body, across
-// self-scheduling granularities (arg = chunks_per_worker).
+// self-scheduling granularities (arg = chunks_per_worker). Each worker
+// adds into its own reduction slot, padded past a cache line because
+// ParallelReduce keeps the slots side by side, so the body shares no line
+// with another worker and the time is the scheduler's.
 void BM_ParallelForOverhead(benchmark::State& state) {
+  struct Slot {
+    std::uint64_t sum = 0;
+    char pad[64] = {};
+  };
   ExecOptions options;
   options.chunks_per_worker = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    std::uint64_t sink = 0;
-    ParallelFor(1 << 14, options, [&sink](std::size_t i) {
-      benchmark::DoNotOptimize(sink += i);
-    });
+    const Slot total = ParallelReduce(
+        std::size_t{1} << 14, options, Slot{},
+        [](Slot& slot, std::size_t i) {
+          benchmark::DoNotOptimize(slot.sum += i);
+        },
+        [](Slot& into, const Slot& from) { into.sum += from.sum; });
+    benchmark::DoNotOptimize(total.sum);
   }
 }
 BENCHMARK(BM_ParallelForOverhead)->Arg(1)->Arg(8)->Arg(64);

@@ -3,7 +3,11 @@
 // costs the paper discusses — dense's direct indexing, sparse's per-access
 // hash lookup (~1.2x), and remap's pay-hash-once design — and the bitmap
 // kernel's: a ProcessRoot case minus the matching Build case is the
-// per-root recursion cost on bit rows versus remap's list rows.
+// per-root recursion cost on bit rows versus remap's list rows. The
+// default cases count single-k at k = 8; two more run bit rows in the
+// modes the server counts in (kAllUpToK for single-k requests, per-vertex
+// kSingleK), at k = 4 and k = 3, where most calls end in the closed-form
+// tail.
 #include <benchmark/benchmark.h>
 
 #include "graph/builder.h"
@@ -48,14 +52,15 @@ BENCHMARK(BM_SubgraphBuild<SparseSubgraph>);
 BENCHMARK(BM_SubgraphBuild<RemapSubgraph>);
 BENCHMARK(BM_SubgraphBuild<BitmapSubgraph>);
 
-template <typename SG>
+template <typename SG, CountMode kMode = CountMode::kSingleK,
+          std::uint32_t kK = 8, bool kPerVertex = false>
 void BM_ProcessRoot(benchmark::State& state) {
   const Graph& dag = BenchDag();
   const std::uint32_t bound =
       static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
   static const BinomialTable binom(bound + 1);
-  PivotCounter<SG, NoStats> counter(dag, CountMode::kSingleK, 8,
-                                    /*per_vertex=*/false, bound, &binom);
+  PivotCounter<SG, NoStats> counter(dag, kMode, kK, kPerVertex, bound,
+                                    &binom);
   NodeId v = 0;
   for (auto _ : state) {
     counter.ProcessRoot(v);
@@ -67,5 +72,8 @@ BENCHMARK(BM_ProcessRoot<DenseSubgraph>);
 BENCHMARK(BM_ProcessRoot<SparseSubgraph>);
 BENCHMARK(BM_ProcessRoot<RemapSubgraph>);
 BENCHMARK(BM_ProcessRoot<BitmapSubgraph>);
+BENCHMARK_TEMPLATE(BM_ProcessRoot, BitmapSubgraph, CountMode::kAllUpToK, 4);
+BENCHMARK_TEMPLATE(BM_ProcessRoot, BitmapSubgraph, CountMode::kSingleK, 3,
+                   true);
 
 }  // namespace

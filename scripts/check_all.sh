@@ -5,9 +5,10 @@
 #   2. -Werror build + full ctest  (build-check/), then the same suite
 #      again under OMP_NUM_THREADS=2 (the thread budget's capacity) so
 #      real multi-worker executor teams run even on single-core runners,
-#      micro_exec scheduler and micro_store load-path smoke runs, and the
-#      benchmark's quick-mode tests (perfbench/tests: every workload and
-#      answer check at small scale, built in .bench_build/)
+#      micro_exec scheduler, micro_store load-path and micro_subgraph
+#      bit-row kernel smoke runs, and the benchmark's quick-mode tests
+#      (perfbench/tests: every workload and answer check at small scale,
+#      built in .bench_build/)
 #   3. clang-tidy over src/        when a clang-tidy binary exists
 #   4. TSan build + race shards    (build-check-tsan/; no suppression
 #      file: every thread the tree runs is instrumented)
@@ -38,6 +39,10 @@ echo "==> [2/4] micro_exec scheduler smoke"
 
 echo "==> [2/4] micro_store load-path smoke"
 ./build-check/bench/micro_store --benchmark_min_time=0.01
+
+echo "==> [2/4] micro_subgraph bit-row kernel smoke"
+./build-check/bench/micro_subgraph --benchmark_filter=Bitmap \
+  --benchmark_min_time=0.01
 
 echo "==> [2/4] perfbench quick-mode tests"
 python3 -m unittest discover -s perfbench/tests

@@ -52,7 +52,8 @@ struct CountOptions {
   // Accumulate per-vertex k-clique participation counts (kSingleK only).
   bool per_vertex = false;
   // Disable Section V-A early termination (ablation only; slower, same
-  // counts). Applies to kSingleK.
+  // counts). Applies to kSingleK, where it also turns off the bit-row
+  // closed-form tail (docs/algorithm.md, "Bitmap rows").
   bool early_termination = true;
   // Count recursion operations (Table II proxy); small overhead.
   bool collect_op_stats = false;

@@ -23,6 +23,16 @@
 // runs RecurseBits instead, where the candidate set is a mask passed by
 // value and none of the mutation bookkeeping exists (docs/algorithm.md,
 // "Bitmap rows"). Larger tasks run Recurse in the same counter.
+//
+// Closed-form tail (bit rows, kAllUpToK and early-terminating kSingleK):
+// every clique below a node with r required vertices, np path pivots and
+// candidate mask P (s = |P|) is R ∪ T ∪ C with T a subset of the pivots
+// and C a clique of G[P]. So once k - r <= 2 the recursion stops and
+// counts the sizes r, r + 1 and r + 2 directly: 1, np + s and
+// C(np, 2) + np·s + e(P), with e(P) from one upper-triangle pass over P.
+// Per-vertex attribution: the root and every required vertex are in all
+// of them; each pivot in 1 (k - r = 1) or (np - 1) + s (k - r = 2); each
+// u in P in 1 or np + |row[u] ∩ P|.
 #ifndef PIVOTSCALE_PIVOT_PIVOTER_H_
 #define PIVOTSCALE_PIVOT_PIVOTER_H_
 
@@ -196,7 +206,8 @@ class PivotCounter {
     const std::uint32_t size = bitmask::Count(candidates);
 
     if (mode_ == CountMode::kSingleK && early_termination_) {
-      if (r == k_) return LeafSingleK(r, np);
+      // r > k only for a pair task at k = 1, which holds no k-clique.
+      if (r >= k_) return LeafSingleK(r, np);
       if (r + np + size < k_) return BigCount{};
     }
     if (mode_ == CountMode::kAllUpToK && r >= k_) {
@@ -206,6 +217,11 @@ class PivotCounter {
       if (r == k_) per_size_[r] += BigCount{1};
       return BigCount{};
     }
+    // The early_termination = false ablation keeps plain recursion.
+    if ((mode_ == CountMode::kAllUpToK ||
+         (mode_ == CountMode::kSingleK && early_termination_)) &&
+        r + 2 >= k_)
+      return TailBits(candidates, size, r, np);
 
     if (size == 0) {
       if (mode_ != CountMode::kSingleK) {
@@ -245,6 +261,67 @@ class PivotCounter {
       bitmask::Clear(&candidates, w);
     });
     return total;
+  }
+
+  // The last k - r <= 2 levels below a RecurseBits node, in closed form
+  // (see the header comment): the node's cliques of sizes r, r + 1 and
+  // r + 2 number 1, np + s and C(np, 2) + np·s + e(P). Returns the size-k
+  // count in kSingleK mode; adds all three sizes up to k in kAllUpToK.
+  template <std::size_t W>
+  BigCount TailBits(const BitMask<W>& candidates, std::uint32_t size,
+                    std::uint32_t r, std::uint32_t np) {
+    const std::uint32_t need = k_ - r;
+    DCHECK(need == 1 || need == 2);
+    const std::uint64_t p = np;
+    const std::uint64_t one_more = p + size;
+    std::uint64_t two_more = 0;
+    if (need == 2) {
+      // e(P). Per-vertex mode needs every |row[u] ∩ P| and credits u with
+      // the np + |row[u] ∩ P| cliques that take it; otherwise each edge
+      // is seen once, from its lower endpoint.
+      std::uint64_t edges = 0;
+      if (per_vertex_) {
+        bitmask::ForEach(candidates, [&](std::uint32_t u) {
+          const std::uint32_t d = bitmask::CountAnd(candidates, sg_.Row(u));
+          stats_.OnEdgeOps(d);
+          edges += d;
+          per_vertex_counts_[sg_.OrigId(u)] += BigCount{p + d};
+        });
+        edges /= 2;
+      } else {
+        BitMask<W> above = candidates;
+        bitmask::ForEach(candidates, [&](std::uint32_t u) {
+          bitmask::Clear(&above, u);
+          edges += bitmask::CountAnd(above, sg_.Row(u));
+        });
+        stats_.OnEdgeOps(edges);
+      }
+      two_more = p * (p - 1) / 2 + p * size + edges;  // p = 0 gives 0
+    }
+
+    if (mode_ == CountMode::kAllUpToK) {
+      // r + np + s <= the clique bound, so a size past the per-size table
+      // is only ever reached with a zero count.
+      per_size_[r] += BigCount{1};
+      if (one_more != 0) per_size_[r + 1] += BigCount{one_more};
+      if (two_more != 0) per_size_[r + 2] += BigCount{two_more};
+      return BigCount{};
+    }
+
+    const std::uint64_t cliques = need == 1 ? one_more : two_more;
+    if (per_vertex_ && cliques != 0) {
+      per_vertex_counts_[root_] += BigCount{cliques};
+      for (NodeId u : required_stack_)
+        per_vertex_counts_[u] += BigCount{cliques};
+      // A pivot exists only when np >= 1, so one_more - 1 >= 0.
+      const BigCount per_pivot{need == 1 ? 1 : one_more - 1};
+      for (NodeId u : pivot_stack_) per_vertex_counts_[u] += per_pivot;
+      if (need == 1)
+        bitmask::ForEach(candidates, [&](std::uint32_t u) {
+          per_vertex_counts_[sg_.OrigId(u)] += BigCount{1};
+        });
+    }
+    return BigCount{cliques};
   }
 
   // The first candidate with the most neighbors inside the set. A

@@ -27,17 +27,24 @@ enum class TouchRegion : int {
 //
 // On bit rows (BitmapSubgraph, PivotCounter::RecurseBits) the counters
 // mean:
-//   calls        one per recursion call, as on list rows;
+//   calls        one per recursion call, as on list rows. In kAllUpToK
+//                and early-terminating kSingleK mode the recursion stops
+//                once k - r <= 2 and counts the rest in closed form, so
+//                the calls of those two levels are not made or counted;
 //   edge_ops     the row entries the pivot scan popcounts: for each
 //                candidate u it scans, |row[u] ∩ P|. The scan stops at a
 //                candidate adjacent to all others, so this counts what it
 //                saw; it is deterministic and measures the same adjacency
 //                entries the list kernel reads, though that kernel also
-//                counts its narrowing passes;
+//                counts its narrowing passes. It also holds the entries
+//                the closed-form tail reads for e(P): each edge of P once,
+//                or twice in per-vertex mode;
 //   induces      one per branch descent, as on list rows;
 //   memberships  0: there are no mark or removed flags to test.
 // A task above the bitmap bound runs the list recursion and counts as
-// the list kernel does.
+// the list kernel does. The closed-form tail changed calls and edge_ops
+// on bit rows, as the bit rows themselves did: compare them only between
+// builds that both have it.
 struct OpCounters {
   std::uint64_t calls = 0;        // recursive CountRecurse invocations
   std::uint64_t edge_ops = 0;     // adjacency entries scanned

@@ -8,6 +8,12 @@
 // structure. The forced-split cases run the same graphs through
 // ProcessEdge, whose pair builds are all small enough for bit rows, so
 // the >256 root is exercised both whole (fallback) and split (bit rows).
+//
+// The closed-form tail (RecurseBits stops once k - r <= 2) is checked the
+// same way, in every mode that takes it, on the hub graphs, on a
+// near-complete graph where paths reach the tail with pivots (np > 0),
+// and on a sparse graph whose tails mostly see an empty candidate set.
+// Remap has no tail, so it is an independent reference.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -55,6 +61,76 @@ Graph HubGraph(NodeId d) {
   for (NodeId i = 0; i < 4 * noise; ++i)
     edges.push_back({1 + (i * 37) % d, d + 1 + i % noise});
   return BuildUndirected(std::move(edges), d + 1 + noise);
+}
+
+// Brute-force truth for sizes 1..max_k: per-vertex participation and the
+// total per size (each s-clique has s members).
+struct Truth {
+  std::vector<std::vector<std::uint64_t>> per_vertex;  // [k][v]
+  std::vector<uint128> total;                          // [k]
+};
+
+Truth BruteForceTruth(const Graph& g, std::uint32_t max_k) {
+  Truth truth;
+  truth.per_vertex.resize(max_k + 1);
+  truth.total.assign(max_k + 1, 0);
+  for (std::uint32_t k = 1; k <= max_k; ++k) {
+    truth.per_vertex[k] = BruteForcePerVertex(g, k);
+    const std::uint64_t memberships = std::accumulate(
+        truth.per_vertex[k].begin(), truth.per_vertex[k].end(),
+        std::uint64_t{0});
+    truth.total[k] = memberships / k;
+  }
+  return truth;
+}
+
+// Every mode the tail serves, whole-root and forced split (split
+// threshold 1 splits every root, so pair tasks reach the tail at r = 2):
+// kSingleK with and without per-vertex for k = 1..6, kAllUpToK for
+// k = 1..7, each against brute force and the tail-less remap kernel.
+void ExpectTailExact(const Graph& g, const Graph& dag) {
+  const Truth truth = BruteForceTruth(g, 7);
+  for (std::uint64_t split : {kNeverSplit, std::uint64_t{1}}) {
+    const auto run = [&](CountOptions options, SubgraphKind structure) {
+      options.structure = structure;
+      options.split_threshold = split;
+      return CountCliques(dag, options);
+    };
+    for (std::uint32_t k = 1; k <= 6; ++k) {
+      for (bool per_vertex : {false, true}) {
+        CountOptions options;
+        options.k = k;
+        options.per_vertex = per_vertex;
+        const CountResult bitmap = run(options, SubgraphKind::kBitmap);
+        const CountResult remap = run(options, SubgraphKind::kRemap);
+        EXPECT_EQ(bitmap.total.value(), truth.total[k])
+            << "k=" << k << " per_vertex=" << per_vertex
+            << " split=" << split;
+        EXPECT_EQ(bitmap.total, remap.total) << "k=" << k;
+        if (!per_vertex) continue;
+        EXPECT_EQ(bitmap.per_vertex, remap.per_vertex)
+            << "k=" << k << " split=" << split;
+        ASSERT_EQ(bitmap.per_vertex.size(), g.NumNodes());
+        for (NodeId v = 0; v < g.NumNodes(); ++v)
+          EXPECT_EQ(bitmap.per_vertex[v].value(),
+                    static_cast<uint128>(truth.per_vertex[k][v]))
+              << "k=" << k << " split=" << split << " v=" << v;
+      }
+    }
+    for (std::uint32_t k = 1; k <= 7; ++k) {
+      CountOptions upto;
+      upto.mode = CountMode::kAllUpToK;
+      upto.k = k;
+      const CountResult bitmap = run(upto, SubgraphKind::kBitmap);
+      const CountResult remap = run(upto, SubgraphKind::kRemap);
+      EXPECT_EQ(bitmap.per_size, remap.per_size)
+          << "k=" << k << " split=" << split;
+      for (std::uint32_t s = 1; s <= k; ++s)
+        EXPECT_EQ(bitmap.per_size[s].value(), truth.total[s])
+            << "k=" << k << " size=" << s << " split=" << split;
+      EXPECT_EQ(bitmap.total.value(), truth.total[k]) << "k=" << k;
+    }
+  }
 }
 
 class BitmapBoundary : public ::testing::TestWithParam<NodeId> {
@@ -177,6 +253,10 @@ TEST_P(BitmapBoundary, CompleteGraphClosedForm) {
     EXPECT_EQ(pv.per_vertex[v].value(), BinomialChoose(n - 1, 3)) << v;
 }
 
+TEST_P(BitmapBoundary, ClosedFormTailMatchesRemapAndBruteForce) {
+  ExpectTailExact(g_, dag_);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     WordBoundaries, BitmapBoundary,
     ::testing::Values(63, 64, 65, 127, 128, 129, 255, 256, 257),
@@ -185,6 +265,68 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(param_info.param);
       return name;
     });
+
+TEST(BitmapTail, CompleteGraphWithNoise) {
+  // K_24 with every seventh edge dropped: most roots' tasks are nearly
+  // complete, so paths pick several pivots before the missing edges add
+  // required vertices, and the tail sees np > 0. Noise vertices attach to
+  // a third of the clique each.
+  const NodeId n = 24;
+  const NodeId noise = 8;
+  EdgeList edges;
+  std::uint32_t pair = 0;
+  for (NodeId a = 0; a < n; ++a)
+    for (NodeId b = a + 1; b < n; ++b)
+      if (++pair % 7 != 0) edges.push_back({a, b});
+  for (NodeId x = 0; x < noise; ++x)
+    for (NodeId a = x % 3; a < n; a += 3) edges.push_back({n + x, a});
+  const Graph g = BuildUndirected(std::move(edges), n + noise);
+  ExpectTailExact(g, IdOrderDag(g));
+}
+
+TEST(BitmapTail, SparseGraphWithEmptyCandidateTails) {
+  // Stars, an even cycle, K_{3,4} (no triangles: kAllUpToK paths reach
+  // r = k - 2 with nothing left in P) next to a K_4 and a K_5 with
+  // pendant edges and a path between them.
+  EdgeList edges;
+  for (NodeId leaf = 1; leaf <= 6; ++leaf) edges.push_back({0, leaf});
+  for (NodeId i = 0; i < 8; ++i) edges.push_back({7 + i, 7 + (i + 1) % 8});
+  for (NodeId a = 15; a < 18; ++a)
+    for (NodeId b = 18; b < 22; ++b) edges.push_back({a, b});
+  for (NodeId a = 22; a < 26; ++a)
+    for (NodeId b = a + 1; b < 26; ++b) edges.push_back({a, b});
+  for (NodeId a = 26; a < 31; ++a)
+    for (NodeId b = a + 1; b < 31; ++b) edges.push_back({a, b});
+  edges.push_back({22, 31});
+  edges.push_back({26, 32});
+  edges.push_back({25, 33});
+  edges.push_back({33, 26});
+  edges.push_back({0, 22});
+  const Graph g = BuildUndirected(std::move(edges), 34);
+  ExpectTailExact(g, IdOrderDag(g));
+}
+
+TEST(BitmapTail, UpperTriangleEdgeOpsOnCompleteGraph) {
+  // kAllUpToK at k = 3 stops at every root (r = 1 = k - 2) and counts
+  // e(P) once per edge: the only adjacency entries read are the
+  // C(outdeg(v), 2) edges among each root's out-neighbors, and the only
+  // call is the root's own.
+  for (NodeId n : {NodeId{5}, NodeId{33}, NodeId{64}}) {
+    const Graph dag = IdOrderDag(BuildGraph(CompleteGraph(n)));
+    CountOptions upto;
+    upto.mode = CountMode::kAllUpToK;
+    upto.k = 3;
+    upto.structure = SubgraphKind::kBitmap;
+    upto.split_threshold = kNeverSplit;
+    upto.collect_op_stats = true;
+    const CountResult result = CountCliques(dag, upto);
+    uint128 pairs = 0;
+    for (NodeId v = 0; v < n; ++v) pairs += BinomialChoose(dag.Degree(v), 2);
+    EXPECT_EQ(static_cast<uint128>(result.ops.edge_ops), pairs) << "n=" << n;
+    EXPECT_EQ(result.ops.calls, n) << "n=" << n;
+    EXPECT_EQ(result.total.value(), BinomialChoose(n, 3)) << "n=" << n;
+  }
+}
 
 TEST(BitmapSubgraph, RowWidthFollowsTaskSize) {
   for (const auto& [d, words] :

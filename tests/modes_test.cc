@@ -38,6 +38,31 @@ TEST(AllUpToK, MatchesAllKPrefix) {
   EXPECT_EQ(capped.total, full.per_size[6]);
 }
 
+TEST(AllUpToK, MatchesAllKPrefixForEveryK) {
+  // Every cap from 1 to 7 on the same graph: the sizes up to k match the
+  // uncapped run and nothing is counted above k.
+  EdgeList edges = GnM(80, 500, 3);
+  PlantCliques(&edges, 80, 2, 8, 12, 4);
+  const Graph g = BuildGraph(std::move(edges));
+  const Graph dag = MakeDag(g, OrderingKind::kCore);
+
+  CountOptions all;
+  all.mode = CountMode::kAllK;
+  const CountResult full = CountCliques(dag, all);
+
+  for (std::uint32_t k = 1; k <= 7; ++k) {
+    CountOptions upto;
+    upto.mode = CountMode::kAllUpToK;
+    upto.k = k;
+    const CountResult capped = CountCliques(dag, upto);
+    ASSERT_EQ(capped.per_size.size(), full.per_size.size());
+    for (std::uint32_t s = 1; s < capped.per_size.size(); ++s)
+      EXPECT_EQ(capped.per_size[s], s <= k ? full.per_size[s] : BigCount{})
+          << "k=" << k << " size=" << s;
+    EXPECT_EQ(capped.total, full.per_size[k]) << "k=" << k;
+  }
+}
+
 TEST(AllUpToK, DoesLessWorkThanAllK) {
   // The cap is a pruning rule: on a graph with cliques far beyond k, the
   // capped mode must scan fewer adjacency entries.
