@@ -359,7 +359,8 @@ class PivotCounter {
       // reaches k, the subtree holds exactly one k-clique — the required
       // set itself (any deeper leaf with r' = k shares it). Disabling this
       // is a pure ablation: the recursion stays correct, just slower.
-      if (r == k_) return LeafSingleK(r, np);
+      // r > k only for a pair task at k = 1, which holds no k-clique.
+      if (r >= k_) return LeafSingleK(r, np);
       // Even taking every remaining candidate cannot reach k.
       if (r + np + candidates.size() < k_) return BigCount{};
     }

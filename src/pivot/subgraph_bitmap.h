@@ -1,15 +1,22 @@
 // Bitmap-row induced-subgraph structure — the default counting structure.
 //
-// Each task remaps its members to local ids exactly as the remap structure
-// does (one hash build per task). When the task has at most kMaxVertices
-// members, the local adjacency is then stored as fixed-width bit rows of
-// 1, 2 or 4 64-bit words (Words()), and PivotCounter runs the recursion on
-// masks passed by value (PivotCounter::RecurseBits): the candidate set P
-// is a mask, a child is row[w] & P, and the pivot is the argmax of
-// popcount(row[u] & P). There is no undo stack and no mark or removed
-// flag — the masks are values, so ascent restores nothing. This is the
-// binary-encoded adjacency of GPU-Pivot and the compressed induced
-// subgraphs of Lonkar & Beamer, on the CPU and per worker.
+// A task of at most kMaxVertices members stores its local adjacency as
+// fixed-width bit rows of 1, 2 or 4 64-bit words (Words()), and
+// PivotCounter runs the recursion on masks passed by value
+// (PivotCounter::RecurseBits): the candidate set P is a mask, a child is
+// row[w] & P, and the pivot is the argmax of popcount(row[u] & P). There
+// is no undo stack and no mark or removed flag — the masks are values, so
+// ascent restores nothing. This is the binary-encoded adjacency of
+// GPU-Pivot and the compressed induced subgraphs of Lonkar & Beamer, on
+// the CPU and per worker.
+//
+// The bit-row build uses no hash map. Each worker holds a |V|-entry stamp
+// (the egonet id array of Galois kcl_dfs): a build writes local id + 1 at
+// each member's id, scans every member's out-list once, keeps the stamp
+// values it reads with a branch-free cursor (a zero stamp is a
+// non-member), sets both row bits for the hits, and then zeroes the
+// members' entries again. A member's local id is below 256, so the stamp
+// is 2 bytes per vertex.
 //
 // A task above the bound builds remap's list rows instead (Words() == 0)
 // and runs the list recursion in the same PivotCounter, so one worker
@@ -112,6 +119,8 @@ class BitmapSubgraph : public RemapSubgraph {
     return n <= 64 ? 1 : n <= 128 ? 2 : n <= kMaxVertices ? 4 : 0;
   }
 
+  // Also sizes the stamp (|V| entries) and the hit buffer (max out-degree).
+  void Attach(const Graph& dag);
   void Build(NodeId root);
   void BuildPair(NodeId u, NodeId v);
 
@@ -137,22 +146,13 @@ class BitmapSubgraph : public RemapSubgraph {
   // Shared tail of Build/BuildPair: orig_ holds the member list.
   void FinishBits();
 
-  // Member filter: one bit per hashed id; at most 256 of its 4096 bits
-  // are set, so a non-member passes it about one time in sixteen.
-  static constexpr int kFilterLog2 = 12;
-  static std::uint32_t FilterBit(NodeId v) {
-    return static_cast<std::uint32_t>(
-        (static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ULL) >>
-        (64 - kFilterLog2));
-  }
-  static std::uint64_t FilterMask(NodeId v) {
-    return std::uint64_t{1} << (FilterBit(v) & 63);
-  }
-
   std::uint32_t words_ = 0;
   std::vector<std::uint64_t> bits_;  // row u at [u * words_, (u+1) * words_)
-  // All zero between builds.
-  std::array<std::uint64_t, (std::size_t{1} << kFilterLog2) / 64> filter_{};
+  // Original id -> local id + 1 for the members of the task being built,
+  // 0 elsewhere; all zero between builds.
+  std::vector<std::uint16_t> local_;
+  // Stamp values read from one member's out-list, hits first.
+  std::vector<std::uint32_t> hits_;
 };
 
 }  // namespace pivotscale

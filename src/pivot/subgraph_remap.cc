@@ -43,19 +43,14 @@ void RemapSubgraph::CollectPair(NodeId u, NodeId v) {
   }
 }
 
-void RemapSubgraph::RemapMembers() {
-  const std::size_t n = orig_.size();
-  remap_.Clear();
-  remap_.Reserve(static_cast<std::uint32_t>(n));
-  for (std::size_t local = 0; local < n; ++local)
-    remap_.Insert(orig_[local], static_cast<Id>(local));
-}
-
 void RemapSubgraph::FinishBuild() {
   const std::size_t n = orig_.size();
 
   // The remap — the one place a hash map is consulted for this root.
-  RemapMembers();
+  remap_.Clear();
+  remap_.Reserve(static_cast<std::uint32_t>(n));
+  for (std::size_t local = 0; local < n; ++local)
+    remap_.Insert(orig_[local], static_cast<Id>(local));
 
   verts_.resize(n);
   std::iota(verts_.begin(), verts_.end(), Id{0});

@@ -65,8 +65,6 @@ class RemapSubgraph {
  protected:
   // BuildPair's member list: orig_ = N+(u) ∩ N+(v), sorted.
   void CollectPair(NodeId u, NodeId v);
-  // Fills remap_ with orig_[local] -> local for every member.
-  void RemapMembers();
   // Shared tail of Build/BuildPair: orig_ holds the member list; builds
   // the remap, local-id adjacency, degrees, and flags.
   void FinishBuild();

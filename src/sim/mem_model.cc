@@ -24,16 +24,20 @@ std::size_t EstimateStructureBytes(SubgraphKind kind, NodeId num_nodes,
       // Slot arrays sized d; hash map only alive during build.
       return d * (24 + sizeof(std::uint32_t) + 1 + 32) + payload;
     case SubgraphKind::kBitmap: {
-      // Member list and hash, plus bit rows for the largest bitmap task;
-      // above the bound, remap's arrays as well.
+      // The bit-row build's stamp (2 B per vertex) and hit buffer (one
+      // entry per out-edge of a member), the member list, and bit rows
+      // for the largest bitmap task; above the bound, remap's arrays and
+      // hash as well.
+      const std::size_t stamp =
+          n * sizeof(std::uint16_t) + d * sizeof(std::uint32_t);
       const std::size_t rows = std::min(d, BitmapSubgraph::kMaxVertices);
       const std::size_t bit_rows = rows * BitmapSubgraph::RowWords(rows) *
                                    sizeof(std::uint64_t);
       if (d > BitmapSubgraph::kMaxVertices)
         return EstimateStructureBytes(SubgraphKind::kRemap, num_nodes,
                                       max_out_degree) +
-               bit_rows;
-      return d * (sizeof(NodeId) + 32) + bit_rows;
+               bit_rows + stamp;
+      return d * sizeof(NodeId) + bit_rows + stamp;
     }
   }
   return 0;

@@ -24,8 +24,9 @@ namespace pivotscale {
 // sparse: compact slot arrays + hash index, all O(max_out_degree), plus the
 //         same payload bound.
 // remap:  like sparse but with plain arrays (hash map only during build).
-// bitmap: remap's member list and hash plus bit rows of 1, 2 or 4 words;
-//         above 256 members, remap's list arrays as well.
+// bitmap: a |V|-entry 2-byte stamp and a max_out_degree hit buffer (the
+//         hash-free bit-row build), the member list, and bit rows of 1, 2
+//         or 4 words; above 256 members, remap's list arrays as well.
 std::size_t EstimateStructureBytes(SubgraphKind kind, NodeId num_nodes,
                                    EdgeId max_out_degree);
 

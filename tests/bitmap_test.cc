@@ -14,9 +14,19 @@
 // near-complete graph where paths reach the tail with pivots (np > 0),
 // and on a sparse graph whose tails mostly see an empty candidate set.
 // Remap has no tail, so it is an independent reference.
+//
+// The bit-row build's worker-local stamp is checked directly: on a random
+// graph every root task's and every pair task's rows must equal the DAG's
+// adjacency, with the tasks built in a shuffled order on one subgraph (a
+// stamp left behind by one build would add a false edge to a later one,
+// and in debug builds trips the stale-stamp DCHECK), and list-row
+// fallback tasks interleaved with bit-row tasks must still count exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -24,6 +34,7 @@
 #include "graph/dag.h"
 #include "graph/generators.h"
 #include "pivot/count.h"
+#include "pivot/pivoter.h"
 #include "pivot/subgraph_bitmap.h"
 #include "test_helpers.h"
 #include "util/binomial.h"
@@ -337,6 +348,134 @@ TEST(BitmapSubgraph, RowWidthFollowsTaskSize) {
     sg.Attach(dag);
     sg.Build(0);
     EXPECT_EQ(sg.Words(), words) << "d=" << d;
+  }
+}
+
+// ------------------------------------------------------ stamp build
+
+// G(400, 0.05) plus two hubs with ~90 and ~180 extra neighbors, oriented
+// by id so that the hubs' root tasks take 2- and 4-word rows.
+Graph StampGraph() {
+  const NodeId n = 400;
+  EdgeList edges = ErdosRenyi(n, 0.05, /*seed=*/12);
+  std::mt19937_64 rng(12);
+  for (const auto& [hub, extra] :
+       std::vector<std::pair<NodeId, int>>{{0, 90}, {1, 180}})
+    for (int i = 0; i < extra; ++i)
+      edges.push_back({hub, static_cast<NodeId>(2 + rng() % (n - 2))});
+  return BuildUndirected(std::move(edges), n);
+}
+
+// A task of the stamp tests: a root (v == kNoPair) or a DAG edge (u, v).
+struct Task {
+  static constexpr NodeId kNoPair = ~NodeId{0};
+  NodeId u;
+  NodeId v;
+};
+
+std::vector<NodeId> TaskMembers(const Graph& dag, const Task& task) {
+  const auto nu = dag.Neighbors(task.u);
+  if (task.v == Task::kNoPair) return {nu.begin(), nu.end()};
+  const auto nv = dag.Neighbors(task.v);
+  std::vector<NodeId> members;
+  std::set_intersection(nu.begin(), nu.end(), nv.begin(), nv.end(),
+                        std::back_inserter(members));
+  return members;
+}
+
+void BuildTask(BitmapSubgraph* sg, const Task& task) {
+  if (task.v == Task::kNoPair) {
+    sg->Build(task.u);
+  } else {
+    sg->BuildPair(task.u, task.v);
+  }
+}
+
+// The task built last holds exactly the member edges of the DAG: bit
+// rows bit for bit (no bit at or past the member count), list rows as
+// sets.
+void ExpectRowsMatchDag(BitmapSubgraph* sg, const Graph& dag,
+                        const Task& task) {
+  const std::vector<NodeId> members = TaskMembers(dag, task);
+  const std::size_t n = members.size();
+  const std::uint32_t words = sg->Words();
+  ASSERT_EQ(words, BitmapSubgraph::RowWords(n));
+  const std::string where =
+      "task (" + std::to_string(task.u) + ", " +
+      (task.v == Task::kNoPair ? std::string("root") : std::to_string(task.v)) +
+      ")";
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(sg->OrigId(static_cast<BitmapSubgraph::Id>(i)), members[i])
+        << where;
+    std::vector<BitmapSubgraph::Id> expected;
+    for (std::size_t j = 0; j < n; ++j)
+      if (dag.HasEdge(members[i], members[j]) ||
+          dag.HasEdge(members[j], members[i]))
+        expected.push_back(static_cast<BitmapSubgraph::Id>(j));
+    std::vector<BitmapSubgraph::Id> got;
+    if (words == 0) {
+      const auto row = sg->AdjPrefix(static_cast<BitmapSubgraph::Id>(i));
+      got.assign(row.begin(), row.end());
+      std::sort(got.begin(), got.end());
+    } else {
+      const std::uint64_t* row = sg->Row(static_cast<BitmapSubgraph::Id>(i));
+      for (std::size_t j = 0; j < 64 * std::size_t{words}; ++j)
+        if ((row[j >> 6] >> (j & 63)) & 1)
+          got.push_back(static_cast<BitmapSubgraph::Id>(j));
+    }
+    EXPECT_EQ(got, expected) << where << " local " << i;
+  }
+}
+
+TEST(BitmapStamp, ShuffledRootAndPairRowsMatchDag) {
+  const Graph dag = IdOrderDag(StampGraph());
+  std::vector<Task> tasks;
+  for (NodeId u = 0; u < dag.NumNodes(); ++u) {
+    tasks.push_back({u, Task::kNoPair});
+    for (NodeId v : dag.Neighbors(u)) tasks.push_back({u, v});
+  }
+  std::shuffle(tasks.begin(), tasks.end(), std::mt19937_64(5));
+
+  BitmapSubgraph sg;
+  sg.Attach(dag);
+  std::vector<bool> widths(5, false);
+  for (const Task& task : tasks) {
+    BuildTask(&sg, task);
+    widths[sg.Words()] = true;
+    ExpectRowsMatchDag(&sg, dag, task);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_TRUE(widths[1] && widths[2] && widths[4]);
+}
+
+TEST(BitmapStamp, ListFallbackInterleavedWithBitRows) {
+  // Hub 0 has 300 members (list rows); every other root takes bit rows.
+  const Graph g = HubGraph(300);
+  const Graph dag = IdOrderDag(g);
+  std::vector<NodeId> roots(dag.NumNodes());
+  std::iota(roots.begin(), roots.end(), NodeId{0});
+  std::shuffle(roots.begin(), roots.end(), std::mt19937_64(9));
+  // The hub in the middle: bit-row builds run both before and after it.
+  std::iter_swap(std::find(roots.begin(), roots.end(), NodeId{0}),
+                 roots.begin() + roots.size() / 2);
+
+  BitmapSubgraph sg;
+  sg.Attach(dag);
+  for (NodeId root : roots) {
+    sg.Build(root);
+    ExpectRowsMatchDag(&sg, dag, {root, Task::kNoPair});
+    if (::testing::Test::HasFailure()) return;
+  }
+
+  const std::uint32_t bound = static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
+  const BinomialTable binom(bound + 1);
+  for (std::uint32_t k = 3; k <= 5; ++k) {
+    PivotCounter<BitmapSubgraph, NoStats> counter(
+        dag, CountMode::kSingleK, k, /*per_vertex=*/false, bound, &binom);
+    for (NodeId root : roots) counter.ProcessRoot(root);
+    EXPECT_EQ(counter.total().value(),
+              static_cast<uint128>(BruteForceCount(g, k)))
+        << "k=" << k;
   }
 }
 

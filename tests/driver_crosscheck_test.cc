@@ -219,6 +219,22 @@ TEST(DriverCrosscheck, PlantedCliquesDeepK) {
   }
 }
 
+TEST(DriverCrosscheck, EdgeParallelKOneStopsAtEveryPairTask) {
+  // A pair task starts with r = 2 required vertices, above k = 1, so its
+  // first call must return: one call per DAG edge, plus one per root
+  // without out-edges (counted whole).
+  const Graph g = BuildGraph(ErdosRenyi(400, 0.1, 1));
+  const Graph dag = MakeDag(g, OrderingKind::kCore);
+  CountOptions options;
+  options.k = 1;
+  options.collect_op_stats = true;
+  const CountResult result = CountCliquesEdgeParallel(dag, options);
+  EXPECT_EQ(result.total.value(), static_cast<uint128>(g.NumNodes()));
+  std::uint64_t sinks = 0;
+  for (NodeId v = 0; v < dag.NumNodes(); ++v) sinks += dag.Degree(v) == 0;
+  EXPECT_EQ(result.ops.calls, dag.NumDirectedEdges() + sinks);
+}
+
 // -------------------------------------------- pipeline mode (regression)
 
 TEST(PipelineMode, AllUpToKFlowsThroughPipeline) {

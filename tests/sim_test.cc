@@ -251,6 +251,19 @@ TEST(MemModel, DenseDominatesOnLargeGraphs) {
   }
 }
 
+TEST(MemModel, BitmapStampIsTwoBytesPerVertex) {
+  // The only |V|-sized state is the bit-row build's 16-bit stamp, on both
+  // sides of the 256-member bound.
+  for (EdgeId d : {EdgeId{100}, EdgeId{300}}) {
+    EXPECT_EQ(EstimateStructureBytes(SubgraphKind::kBitmap, 1000001, d) -
+                  EstimateStructureBytes(SubgraphKind::kBitmap, 1000000, d),
+              2u)
+        << "d=" << d;
+  }
+  EXPECT_GT(EstimateStructureBytes(SubgraphKind::kDense, 2000000, 100),
+            10 * EstimateStructureBytes(SubgraphKind::kBitmap, 2000000, 100));
+}
+
 TEST(MemModel, AggregatePrefersMeasured) {
   EXPECT_EQ(AggregateWorkspaceBytes(SubgraphKind::kRemap, 1000, 10, 8,
                                     /*measured_per_thread=*/500),
