@@ -5,8 +5,9 @@
 #   2. -Werror build + full ctest  (build-check/), then the same suite
 #      again under OMP_NUM_THREADS=2 (the thread budget's capacity) so
 #      real multi-worker executor teams run even on single-core runners,
-#      micro_exec scheduler, micro_store load-path and micro_subgraph
-#      bit-row kernel smoke runs, and the benchmark's quick-mode tests
+#      micro_exec scheduler, micro_store load-path, micro_subgraph
+#      bit-row kernel and micro_ordering peel smoke runs, and the
+#      benchmark's quick-mode tests
 #      (perfbench/tests: every workload and answer check at small scale,
 #      built in .bench_build/)
 #   3. clang-tidy over src/        when a clang-tidy binary exists
@@ -44,6 +45,10 @@ echo "==> [2/4] micro_subgraph bit-row kernel smoke"
 ./build-check/bench/micro_subgraph --benchmark_filter=Bitmap \
   --benchmark_min_time=0.01
 
+echo "==> [2/4] micro_ordering peel smoke"
+./build-check/bench/micro_ordering --benchmark_filter='ApproxCore|KCore' \
+  --benchmark_min_time=0.01
+
 echo "==> [2/4] perfbench quick-mode tests"
 python3 -m unittest discover -s perfbench/tests
 
@@ -61,10 +66,10 @@ else
   echo "    .github/workflows/analysis.yml)"
 fi
 
-echo "==> [4/4] TSan build + race/net/service/check/exec/bitmap shards"
+echo "==> [4/4] TSan build + race/net/service/check/exec/bitmap/order shards"
 cmake -B build-check-tsan -S . -DPIVOTSCALE_TSAN=ON >/dev/null
 cmake --build build-check-tsan -j"${JOBS}"
-ctest --test-dir build-check-tsan -R 'race|net|service|check|exec|bitmap' \
+ctest --test-dir build-check-tsan -R 'race|net|service|check|exec|bitmap|order' \
   --output-on-failure
 
 echo "==> all analysis stages passed"

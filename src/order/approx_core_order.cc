@@ -1,29 +1,84 @@
 #include "order/approx_core_order.h"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "exec/executor.h"
+#include "util/check.h"
 
 namespace pivotscale {
 
 namespace {
 
-// Thread-local collect + worker-order merge; on one core this degenerates
-// to a plain loop, but the structure mirrors the algorithm.
-template <typename Keep>
-void CollectIds(std::size_t n, std::vector<NodeId>* out, Keep&& keep) {
-  ExecOptions exec_options;
-  ParallelForWorkers(
-      n, exec_options, [](int) { return std::vector<NodeId>(); },
-      [&keep](std::vector<NodeId>& local, std::size_t i) {
-        const auto u = static_cast<NodeId>(i);
-        if (keep(u)) local.push_back(u);
-      },
-      [out](std::vector<NodeId>& local) {
-        out->insert(out->end(), local.begin(), local.end());
-      });
+// Live vertices per block of a round's selection: blocks are the unit of
+// parallel work, so a round over at most one block runs inline.
+constexpr std::size_t kLiveBlock = 4096;
+
+// A round's removed vertex as its within-round rank key: original degree
+// in the high word, id in the low word, so sorting the packed values
+// orders a batch by (degree, id). A degree fits the word: neighbors are
+// distinct 32-bit ids.
+std::uint64_t BatchKey(const Graph& g, NodeId u) {
+  return (static_cast<std::uint64_t>(g.Degree(u)) << 32) | u;
+}
+
+// Splits `live` into the vertices `take` selects (into `batch`, as
+// BatchKeys) and the rest (into `next_live`), both in `live`'s order, and
+// returns the minimum degree among the rest. Two parallel passes over
+// fixed blocks: the first counts each block's taken vertices, a prefix
+// sum places every block's output, the second writes. The outputs are
+// sized exactly, so no per-worker buffer is needed.
+template <typename Take>
+std::int64_t SplitLive(const Graph& g, const std::vector<std::int64_t>& degree,
+                       const std::vector<NodeId>& live, Take&& take,
+                       std::vector<std::uint64_t>* batch,
+                       std::vector<NodeId>* next_live) {
+  struct Block {
+    std::size_t taken = 0;  // after the prefix sum: the block's offset
+    std::int64_t min_kept = std::numeric_limits<std::int64_t>::max();
+  };
+  const std::size_t num_blocks = (live.size() + kLiveBlock - 1) / kLiveBlock;
+  std::vector<Block> blocks(num_blocks);
+  const auto end_of = [&](std::size_t b) {
+    return std::min(live.size(), (b + 1) * kLiveBlock);
+  };
+  ParallelFor(num_blocks, ExecOptions{}, [&](std::size_t b) {
+    Block block;
+    for (std::size_t i = b * kLiveBlock; i < end_of(b); ++i) {
+      const NodeId u = live[i];
+      if (take(u)) {
+        ++block.taken;
+      } else {
+        block.min_kept = std::min(block.min_kept, degree[u]);
+      }
+    }
+    blocks[b] = block;
+  });
+  std::size_t taken = 0;
+  std::int64_t min_kept = std::numeric_limits<std::int64_t>::max();
+  for (Block& block : blocks) {
+    min_kept = std::min(min_kept, block.min_kept);
+    taken += std::exchange(block.taken, taken);
+  }
+  batch->resize(taken);
+  next_live->resize(live.size() - taken);
+  ParallelFor(num_blocks, ExecOptions{}, [&](std::size_t b) {
+    std::size_t t = blocks[b].taken;
+    std::size_t k = b * kLiveBlock - t;
+    for (std::size_t i = b * kLiveBlock; i < end_of(b); ++i) {
+      const NodeId u = live[i];
+      if (take(u)) {
+        (*batch)[t++] = BatchKey(g, u);
+      } else {
+        (*next_live)[k++] = u;
+      }
+    }
+  });
+  return min_kept;
 }
 
 }  // namespace
@@ -32,10 +87,8 @@ ApproxCoreResult ApproxCoreOrderingWithStats(const Graph& g,
                                              double epsilon) {
   const NodeId n = g.NumNodes();
   std::vector<std::int64_t> degree(n);
-  std::vector<std::uint32_t> level(n, 0);
   std::vector<std::uint8_t> alive(n, 1);
 
-  std::int64_t remaining_nodes = n;
   std::int64_t remaining_degree_sum = ParallelReduce(
       n, ExecOptions{}, std::int64_t{0},
       [&](std::int64_t& sum, std::size_t i) {
@@ -45,46 +98,50 @@ ApproxCoreResult ApproxCoreOrderingWithStats(const Graph& g,
       },
       [](std::int64_t& into, std::int64_t from) { into += from; });
 
-  std::vector<NodeId> remove;
-  remove.reserve(n);
+  // A round scans only the vertices still in the graph: `live` holds them
+  // in id order and is compacted into `next_live` as the round selects,
+  // so a round costs O(live + edges of the removed vertices), not O(n).
+  std::vector<NodeId> live(n), next_live;
+  std::iota(live.begin(), live.end(), NodeId{0});
+  // The round's removed vertices as BatchKeys.
+  std::vector<std::uint64_t> batch;
+  std::vector<NodeId> ranks(n);
+  NodeId next_rank = 0;
   int round = 0;
-  while (remaining_nodes > 0) {
+  while (!live.empty()) {
     const double avg = static_cast<double>(remaining_degree_sum) /
-                       static_cast<double>(remaining_nodes);
+                       static_cast<double>(live.size());
     const double threshold = (1.0 + epsilon) * avg;
 
-    remove.clear();
-    // Selection pass.
-    CollectIds(n, &remove, [&](NodeId u) {
-      return alive[u] != 0 &&
-             static_cast<double>(degree[u]) < threshold;
-    });
-
+    // Selection: the vertices below the threshold leave this round.
     // Progress guarantee: with eps < 0 the threshold can fall below the
     // minimum remaining degree (e.g. on regular graphs). Fall back to
     // removing all minimum-degree vertices, which is still a bulk peel.
-    if (remove.empty()) {
-      const std::int64_t min_degree = ParallelReduce(
-          n, ExecOptions{}, std::numeric_limits<std::int64_t>::max(),
-          [&](std::int64_t& min_so_far, std::size_t i) {
-            const auto u = static_cast<NodeId>(i);
-            if (alive[u]) min_so_far = std::min(min_so_far, degree[u]);
-          },
-          [](std::int64_t& into, std::int64_t from) {
-            into = std::min(into, from);
-          });
-      CollectIds(n, &remove, [&](NodeId u) {
-        return alive[u] != 0 && degree[u] == min_degree;
-      });
+    const std::int64_t min_kept = SplitLive(
+        g, degree, live,
+        [&](NodeId u) { return static_cast<double>(degree[u]) < threshold; },
+        &batch, &next_live);
+    if (batch.empty()) {
+      SplitLive(
+          g, degree, live, [&](NodeId u) { return degree[u] == min_kept; },
+          &batch, &next_live);
+      DCHECK(!batch.empty());
     }
 
-    // Removal pass: assign the round as the rank level, then update degrees
-    // of surviving neighbors. The degree updates use atomics because two
-    // removed vertices can share a surviving neighbor.
-    for (NodeId u : remove) {
-      level[u] = static_cast<std::uint32_t>(round);
+    // The round's vertices take the next |batch| ranks, ordered by
+    // (original degree, id): overall the rank key is (round, original
+    // degree, id), the tiebreaker the paper prescribes for non-unique
+    // round-based rankings. Unlike PackKey, the round is not clamped.
+    std::sort(batch.begin(), batch.end());
+    for (std::uint64_t key : batch) {
+      const auto u = static_cast<NodeId>(key);
+      ranks[u] = next_rank++;
       alive[u] = 0;
     }
+
+    // Removal pass: update degrees of surviving neighbors. The degree
+    // updates use atomics because two removed vertices can share a
+    // surviving neighbor.
     // Degree-sum bookkeeping: removing R drops sum(deg(u) for u in R) plus
     // one decrement per R-survivor edge (R-R edges are fully covered by the
     // first term since both endpoints contribute).
@@ -95,9 +152,9 @@ ApproxCoreResult ApproxCoreOrderingWithStats(const Graph& g,
     ExecOptions removal_options;
     removal_options.grain = 64;
     const Deltas deltas = ParallelReduce(
-        remove.size(), removal_options, Deltas{},
+        batch.size(), removal_options, Deltas{},
         [&](Deltas& d, std::size_t i) {
-          const NodeId u = remove[i];
+          const auto u = static_cast<NodeId>(batch[i]);
           d.removed_degree += degree[u];
           for (NodeId v : g.Neighbors(u)) {
             if (!alive[v]) continue;
@@ -112,22 +169,14 @@ ApproxCoreResult ApproxCoreOrderingWithStats(const Graph& g,
         });
     remaining_degree_sum -=
         deltas.removed_degree + deltas.survivor_decrements;
-    remaining_nodes -= static_cast<std::int64_t>(remove.size());
+    std::swap(live, next_live);
     ++round;
   }
-
-  // Composite rank key: (round, original degree, id) — the tiebreaker the
-  // paper prescribes for non-unique round-based rankings.
-  std::vector<std::uint64_t> keys(n);
-  ParallelFor(n, ExecOptions{}, [&](std::size_t i) {
-    const auto u = static_cast<NodeId>(i);
-    keys[u] = PackKey(level[u], g.Degree(u));
-  });
 
   ApproxCoreResult result;
   result.ordering.name =
       "approx-core(eps=" + std::to_string(epsilon) + ")";
-  result.ordering.ranks = RanksFromKeys(keys);
+  result.ordering.ranks = std::move(ranks);
   result.rounds = round;
   return result;
 }

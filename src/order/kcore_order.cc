@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -11,22 +12,8 @@ namespace pivotscale {
 
 namespace {
 
-// Frontier collection: every worker gathers candidates into a private
-// vector (its reduction slot); the merge concatenates in worker order, so
-// the frontier layout is deterministic for a fixed team size.
-template <typename Keep>
-void CollectFrontier(std::size_t n, std::vector<NodeId>* frontier,
-                     Keep&& keep) {
-  ExecOptions exec_options;
-  ParallelForWorkers(
-      n, exec_options, [](int) { return std::vector<NodeId>(); },
-      [&keep](std::vector<NodeId>& local, std::size_t i) {
-        if (NodeId v; keep(i, &v)) local.push_back(v);
-      },
-      [frontier](std::vector<NodeId>& local) {
-        frontier->insert(frontier->end(), local.begin(), local.end());
-      });
-}
+// Minimum live vertices per chunk of a level's collection pass.
+constexpr std::size_t kLiveGrain = 4096;
 
 }  // namespace
 
@@ -40,6 +27,12 @@ std::vector<EdgeId> CoreDecomposition(const Graph& g, int* rounds_out) {
   std::vector<EdgeId> coreness(n, 0);
   std::vector<std::uint8_t> alive(n, 1);
   std::vector<NodeId> frontier, next_frontier;
+  // The vertices not yet peeled when the current level began (in no
+  // particular order): a level's collection pass scans only these and
+  // compacts them, dropping the ones the previous level's cascade removed.
+  std::vector<NodeId> live(n), next_live;
+  std::iota(live.begin(), live.end(), NodeId{0});
+  next_live.reserve(n);
 
   NodeId removed_total = 0;
   std::int64_t level = 0;
@@ -48,12 +41,32 @@ std::vector<EdgeId> CoreDecomposition(const Graph& g, int* rounds_out) {
     // Collect everything peelable at this level, then cascade within the
     // level (removing a degree-<=level vertex can push neighbors below the
     // threshold in the same level) — the PKC processing structure.
+    // Every worker splits its chunks of `live` into private vectors (its
+    // reduction slot); the merge concatenates them in worker order.
+    struct Split {
+      std::vector<NodeId> peel;
+      std::vector<NodeId> keep;
+    };
     frontier.clear();
-    CollectFrontier(n, &frontier, [&](std::size_t i, NodeId* out) {
-      const auto u = static_cast<NodeId>(i);
-      *out = u;
-      return alive[u] != 0 && degree[u] <= level;
-    });
+    next_live.clear();
+    ExecOptions collect_options;
+    collect_options.grain = kLiveGrain;
+    ParallelForWorkers(
+        live.size(), collect_options, [](int) { return Split{}; },
+        [&](Split& s, std::size_t i) {
+          const NodeId u = live[i];
+          if (!alive[u]) return;
+          if (degree[u] <= level) {
+            s.peel.push_back(u);
+          } else {
+            s.keep.push_back(u);
+          }
+        },
+        [&](Split& s) {
+          frontier.insert(frontier.end(), s.peel.begin(), s.peel.end());
+          next_live.insert(next_live.end(), s.keep.begin(), s.keep.end());
+        });
+    std::swap(live, next_live);
 
     ++rounds;  // the level-collection pass
     while (!frontier.empty()) {

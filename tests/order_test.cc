@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
+#include "exec/thread_budget.h"
 #include "graph/builder.h"
 #include "graph/dag.h"
 #include "graph/generators.h"
@@ -68,6 +70,139 @@ std::vector<EdgeId> ReferenceCoreness(const Graph& g) {
     ++level;
   }
   return coreness;
+}
+
+// Reference approx-core ordering: the full-scan form of Algorithm 2.
+// Every round scans all n vertices for the ones below the threshold (and,
+// when none is, scans again for the minimum degree and its holders),
+// records the round as each removed vertex's level, and one final sort of
+// PackKey(level, original degree) keys with the id tiebreak ranks them.
+ApproxCoreResult ReferenceApproxCore(const Graph& g, double epsilon) {
+  const NodeId n = g.NumNodes();
+  std::vector<std::int64_t> degree(n);
+  std::vector<std::uint32_t> level(n, 0);
+  std::vector<bool> alive(n, true);
+  std::int64_t remaining_nodes = n;
+  std::int64_t remaining_degree_sum = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    degree[u] = static_cast<std::int64_t>(g.Degree(u));
+    remaining_degree_sum += degree[u];
+  }
+  int round = 0;
+  std::vector<NodeId> remove;
+  while (remaining_nodes > 0) {
+    const double threshold =
+        (1.0 + epsilon) * (static_cast<double>(remaining_degree_sum) /
+                           static_cast<double>(remaining_nodes));
+    remove.clear();
+    for (NodeId u = 0; u < n; ++u)
+      if (alive[u] && static_cast<double>(degree[u]) < threshold)
+        remove.push_back(u);
+    if (remove.empty()) {
+      std::int64_t min_degree = std::numeric_limits<std::int64_t>::max();
+      for (NodeId u = 0; u < n; ++u)
+        if (alive[u]) min_degree = std::min(min_degree, degree[u]);
+      for (NodeId u = 0; u < n; ++u)
+        if (alive[u] && degree[u] == min_degree) remove.push_back(u);
+    }
+    for (NodeId u : remove) {
+      level[u] = static_cast<std::uint32_t>(round);
+      alive[u] = false;
+    }
+    for (NodeId u : remove) {
+      remaining_degree_sum -= degree[u];
+      for (NodeId v : g.Neighbors(u)) {
+        if (!alive[v]) continue;
+        --degree[v];
+        --remaining_degree_sum;
+      }
+    }
+    remaining_nodes -= static_cast<std::int64_t>(remove.size());
+    ++round;
+  }
+  std::vector<std::uint64_t> keys(n);
+  for (NodeId u = 0; u < n; ++u) keys[u] = PackKey(level[u], g.Degree(u));
+  ApproxCoreResult result;
+  result.ordering.ranks = RanksFromKeys(keys);
+  result.rounds = round;
+  return result;
+}
+
+// Reference k-core decomposition: the full-scan PKC loop. Each level scans
+// all n vertices for the peelable ones (one counted round), then cascades
+// within the level (one counted round per pass).
+std::vector<EdgeId> ReferenceCoreDecomposition(const Graph& g,
+                                               int* rounds_out) {
+  const NodeId n = g.NumNodes();
+  std::vector<std::int64_t> degree(n);
+  for (NodeId u = 0; u < n; ++u)
+    degree[u] = static_cast<std::int64_t>(g.Degree(u));
+  std::vector<EdgeId> coreness(n, 0);
+  std::vector<bool> alive(n, true);
+  std::vector<NodeId> frontier, next_frontier;
+  NodeId removed_total = 0;
+  std::int64_t level = 0;
+  int rounds = 0;
+  while (removed_total < n) {
+    frontier.clear();
+    for (NodeId u = 0; u < n; ++u)
+      if (alive[u] && degree[u] <= level) frontier.push_back(u);
+    ++rounds;
+    while (!frontier.empty()) {
+      ++rounds;
+      for (NodeId u : frontier) {
+        alive[u] = false;
+        coreness[u] = static_cast<EdgeId>(level);
+      }
+      removed_total += static_cast<NodeId>(frontier.size());
+      next_frontier.clear();
+      for (NodeId u : frontier)
+        for (NodeId v : g.Neighbors(u))
+          if (alive[v] && --degree[v] == level) next_frontier.push_back(v);
+      std::swap(frontier, next_frontier);
+    }
+    ++level;
+  }
+  *rounds_out = rounds;
+  return coreness;
+}
+
+// Graphs for the peel references. The larger ones span several 4096-vertex
+// blocks of a peel round's selection, so a multi-worker team splits them.
+std::vector<Graph> PeelGraphs() {
+  std::vector<Graph> graphs;
+  graphs.push_back(BuildGraph(Rmat(14, 8.0, 13)));
+  // Regular: every round below the average is empty, so each round
+  // removes the minimum-degree vertices through the fallback.
+  graphs.push_back(BuildGraph(CycleGraph(9000)));
+  graphs.push_back(BuildGraph(TuranGraph(60, 4)));
+  graphs.push_back(BuildGraph(CompleteGraph(24)));
+  graphs.push_back(BuildGraph(StarGraph(9000)));
+  graphs.push_back(BuildUndirected(Rmat(12, 4.0, 5), 9000));  // isolated
+  graphs.push_back(BuildUndirected({}, 0));                   // empty
+  return graphs;
+}
+
+void ExpectApproxCoreMatchesReference() {
+  for (const Graph& g : PeelGraphs()) {
+    for (const double eps : {-0.9, -0.5, 0.1, 50000.0}) {
+      const ApproxCoreResult want = ReferenceApproxCore(g, eps);
+      const ApproxCoreResult got = ApproxCoreOrderingWithStats(g, eps);
+      EXPECT_EQ(got.ordering.ranks, want.ordering.ranks)
+          << "n=" << g.NumNodes() << " eps=" << eps;
+      EXPECT_EQ(got.rounds, want.rounds)
+          << "n=" << g.NumNodes() << " eps=" << eps;
+    }
+  }
+}
+
+void ExpectCoreDecompositionMatchesReference() {
+  for (const Graph& g : PeelGraphs()) {
+    int want_rounds = 0, got_rounds = 0;
+    const std::vector<EdgeId> want = ReferenceCoreDecomposition(g, &want_rounds);
+    EXPECT_EQ(CoreDecomposition(g, &got_rounds), want) << "n=" << g.NumNodes();
+    EXPECT_EQ(got_rounds, want_rounds) << "n=" << g.NumNodes();
+  }
 }
 
 std::vector<Graph> TestGraphs() {
@@ -226,6 +361,18 @@ TEST(ApproxCore, HandlesIsolatedVertices) {
   EXPECT_TRUE(IsPermutation(ApproxCoreOrdering(g, -0.5).ranks));
 }
 
+TEST(ApproxCore, MatchesFullScanReference) {
+  ExpectApproxCoreMatchesReference();
+}
+
+TEST(ApproxCore, MatchesFullScanReferenceAtTeamOfOne) {
+  // While this thread holds the whole budget every peel region realizes a
+  // team of 1.
+  ThreadBudget& budget = ThreadBudget::Global();
+  const ThreadLease held = budget.Acquire(budget.capacity());
+  ExpectApproxCoreMatchesReference();
+}
+
 // ---------------------------------------------------------------- k-core
 
 TEST(KCore, CorenessMatchesReference) {
@@ -256,6 +403,16 @@ TEST(KCore, MaxCorenessEqualsDegeneracy) {
             : *std::max_element(coreness.begin(), coreness.end());
     EXPECT_EQ(max_core, Degeneracy(g));
   }
+}
+
+TEST(KCore, MatchesFullScanReference) {
+  ExpectCoreDecompositionMatchesReference();
+}
+
+TEST(KCore, MatchesFullScanReferenceAtTeamOfOne) {
+  ThreadBudget& budget = ThreadBudget::Global();
+  const ThreadLease held = budget.Acquire(budget.capacity());
+  ExpectCoreDecompositionMatchesReference();
 }
 
 // ---------------------------------------------------------------- centrality
