@@ -6,8 +6,10 @@
 #      again under OMP_NUM_THREADS=2 (the thread budget's capacity) so
 #      real multi-worker executor teams run even on single-core runners,
 #      micro_exec scheduler, micro_store load-path, micro_subgraph
-#      bit-row kernel and micro_ordering peel smoke runs, and the
-#      benchmark's quick-mode tests
+#      bit-row kernel and micro_ordering peel smoke runs, the
+#      ablation_design and extensions_bench figure benches on dblp-like
+#      (ablation_design exits 1 when two decompositions disagree), and
+#      the benchmark's quick-mode tests
 #      (perfbench/tests: every workload and answer check at small scale,
 #      built in .bench_build/)
 #   3. clang-tidy over src/        when a clang-tidy binary exists
@@ -48,6 +50,10 @@ echo "==> [2/4] micro_subgraph bit-row kernel smoke"
 echo "==> [2/4] micro_ordering peel smoke"
 ./build-check/bench/micro_ordering --benchmark_filter='ApproxCore|KCore' \
   --benchmark_min_time=0.01
+
+echo "==> [2/4] ablation_design and extensions_bench smoke (dblp-like)"
+./build-check/bench/ablation_design --datasets dblp-like
+./build-check/bench/extensions_bench --datasets dblp-like
 
 echo "==> [2/4] perfbench quick-mode tests"
 python3 -m unittest discover -s perfbench/tests

@@ -1,89 +1,6 @@
 #include "analysis/analysis.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "exec/executor.h"
-#include "graph/dag.h"
-#include "order/degree_order.h"
-
 namespace pivotscale {
-
-std::uint64_t CountTriangles(const Graph& g) {
-  // Directionalize by degree order, then count length-2 paths that close:
-  // for each u -> v, |N+(u) ∩ N+(v)| with sorted merges.
-  const Ordering order = DegreeOrdering(g);
-  const Graph dag = Directionalize(g, order.ranks);
-  const NodeId n = dag.NumNodes();
-  ExecOptions exec_options;
-  exec_options.grain = 256;
-  return ParallelReduce(
-      n, exec_options, std::uint64_t{0},
-      [&dag](std::uint64_t& total, std::size_t idx) {
-        const auto u = static_cast<NodeId>(idx);
-        const auto nu = dag.Neighbors(u);
-        for (NodeId v : nu) {
-          const auto nv = dag.Neighbors(v);
-          std::size_t i = 0, j = 0;
-          while (i < nu.size() && j < nv.size()) {
-            if (nu[i] < nv[j]) {
-              ++i;
-            } else if (nu[i] > nv[j]) {
-              ++j;
-            } else {
-              ++total;
-              ++i;
-              ++j;
-            }
-          }
-        }
-      },
-      [](std::uint64_t& into, std::uint64_t from) { into += from; });
-}
-
-namespace {
-
-std::uint64_t CountWedges(const Graph& g) {
-  std::uint64_t wedges = 0;
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    const std::uint64_t d = g.Degree(u);
-    wedges += d * (d - 1) / 2;
-  }
-  return wedges;
-}
-
-}  // namespace
-
-double GlobalClusteringCoefficient(const Graph& g) {
-  const std::uint64_t wedges = CountWedges(g);
-  if (wedges == 0) return 0;
-  return 3.0 * static_cast<double>(CountTriangles(g)) /
-         static_cast<double>(wedges);
-}
-
-double AverageLocalClusteringCoefficient(const Graph& g) {
-  const NodeId n = g.NumNodes();
-  if (n == 0) return 0;
-  ExecOptions exec_options;
-  exec_options.grain = 256;
-  const double sum = ParallelReduce(
-      n, exec_options, 0.0,
-      [&g](double& acc, std::size_t idx) {
-        const auto u = static_cast<NodeId>(idx);
-        const auto nbrs = g.Neighbors(u);
-        if (nbrs.size() < 2) return;
-        std::uint64_t closed = 0;
-        for (std::size_t i = 0; i < nbrs.size(); ++i)
-          for (std::size_t j = i + 1; j < nbrs.size(); ++j)
-            if (g.HasEdge(nbrs[i], nbrs[j])) ++closed;
-        const double possible =
-            static_cast<double>(nbrs.size()) *
-            static_cast<double>(nbrs.size() - 1) / 2.0;
-        acc += static_cast<double>(closed) / possible;
-      },
-      [](double& into, double from) { into += from; });
-  return sum / static_cast<double>(n);
-}
 
 std::vector<std::uint64_t> Log2Histogram(
     const std::vector<EdgeId>& values) {
@@ -106,30 +23,6 @@ std::vector<EdgeId> DegreeSequence(const Graph& g) {
   std::vector<EdgeId> degrees(g.NumNodes());
   for (NodeId u = 0; u < g.NumNodes(); ++u) degrees[u] = g.Degree(u);
   return degrees;
-}
-
-double DegreeAssortativity(const Graph& g) {
-  // Pearson correlation of (remaining) degrees at edge endpoints, computed
-  // over each undirected edge once (symmetric, so using both directions
-  // changes nothing but the constant).
-  double sum_x = 0, sum_x2 = 0, sum_xy = 0;
-  std::uint64_t m = 0;
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    const double du = static_cast<double>(g.Degree(u)) - 1;
-    for (NodeId v : g.Neighbors(u)) {
-      const double dv = static_cast<double>(g.Degree(v)) - 1;
-      sum_x += du;
-      sum_x2 += du * du;
-      sum_xy += du * dv;
-      ++m;
-    }
-  }
-  if (m == 0) return 0;
-  const double mean = sum_x / static_cast<double>(m);
-  const double var = sum_x2 / static_cast<double>(m) - mean * mean;
-  if (var <= 0) return 0;
-  const double cov = sum_xy / static_cast<double>(m) - mean * mean;
-  return cov / var;
 }
 
 }  // namespace pivotscale

@@ -1,11 +1,6 @@
-// Graph analysis utilities around the clique-counting core:
-//  * triangle counting — an independent specialized kernel that also
-//    cross-validates the pivot counter at k = 3,
-//  * clustering coefficients — the standard density summaries,
-//  * degree histograms — what the paper's Figure 3 plots (core-ordered vs
-//    degree-ordered DAG out-degree distributions),
-//  * degree assortativity — the network property (Newman 2002) behind the
-//    Section III-E heuristic's probes.
+// Degree histograms around the clique-counting core: what the paper's
+// Figure 3 plots (core-ordered vs degree-ordered DAG out-degree
+// distributions).
 #ifndef PIVOTSCALE_ANALYSIS_ANALYSIS_H_
 #define PIVOTSCALE_ANALYSIS_ANALYSIS_H_
 
@@ -16,17 +11,6 @@
 
 namespace pivotscale {
 
-// Exact triangle count via sorted-adjacency intersection over a
-// rank-directionalized DAG. Parallel over vertices.
-std::uint64_t CountTriangles(const Graph& g);
-
-// Global clustering coefficient: 3 * triangles / wedges (0 if no wedges).
-double GlobalClusteringCoefficient(const Graph& g);
-
-// Average local clustering coefficient (vertices of degree < 2 contribute
-// 0, as in the standard definition).
-double AverageLocalClusteringCoefficient(const Graph& g);
-
 // Histogram of values into power-of-two buckets: bucket b holds values in
 // [2^b, 2^(b+1)) with bucket 0 holding {0, 1}. Used for degree
 // distributions (Figure 3).
@@ -35,11 +19,6 @@ std::vector<std::uint64_t> Log2Histogram(
 
 // Out-degree list of a graph (for histogramming DAGs).
 std::vector<EdgeId> DegreeSequence(const Graph& g);
-
-// Pearson degree assortativity over edges (Newman 2002); in [-1, 1].
-// Social networks are assortative (> 0) — the premise of the ordering
-// heuristic.
-double DegreeAssortativity(const Graph& g);
 
 }  // namespace pivotscale
 

@@ -6,12 +6,8 @@
 #include <vector>
 
 #include "exec/executor.h"
-#include "graph/builder.h"
-#include "graph/dag.h"
-#include "order/degree_order.h"
-#include "pivot/count.h"
 #include "pivot/pivoter.h"
-#include "pivot/subgraph_remap.h"
+#include "pivot/subgraph_bitmap.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -88,11 +84,11 @@ ApproxCountResult ApproxCountKCliques(const Graph& dag, std::uint32_t k,
   ParallelForWorkers(
       samples.size(), exec_options,
       [&](int) {
-        return PivotCounter<RemapSubgraph, NoStats>(
+        return PivotCounter<BitmapSubgraph, NoStats>(
             dag, CountMode::kSingleK, k, /*per_vertex=*/false, bound,
             &binom);
       },
-      [&](PivotCounter<RemapSubgraph, NoStats>& counter, std::size_t i) {
+      [&](PivotCounter<BitmapSubgraph, NoStats>& counter, std::size_t i) {
         // Per-root delta of the accumulating counter; stored as double
         // (precision loss starts beyond 2^53 per root, where the
         // estimator's relative error is negligible anyway).
@@ -100,7 +96,7 @@ ApproxCountResult ApproxCountKCliques(const Graph& dag, std::uint32_t k,
         counter.ProcessRoot(samples[i].root);
         counts[i] = ToDouble(counter.total().value() - before);
       },
-      [](PivotCounter<RemapSubgraph, NoStats>&) {});
+      [](PivotCounter<BitmapSubgraph, NoStats>&) {});
 
   // Horvitz-Thompson per stratum: estimate_s = N_s * mean_s; variance via
   // within-stratum sample variance with finite-population correction.
@@ -130,66 +126,6 @@ ApproxCountResult ApproxCountKCliques(const Graph& dag, std::uint32_t k,
   result.estimate = BigCount{static_cast<uint128>(std::max(0.0, estimate))};
   result.relative_std_error =
       estimate > 0 ? std::sqrt(std::max(0.0, variance)) / estimate : 0;
-  result.seconds = timer.Seconds();
-  return result;
-}
-
-ApproxCountResult ColorSamplingCount(const Graph& g, std::uint32_t k,
-                                     const ColorSamplingConfig& config) {
-  if (g.NumNodes() > 0 && !g.undirected())
-    throw std::invalid_argument(
-        "ColorSamplingCount: expected an undirected graph");
-  if (config.colors < 2)
-    throw std::invalid_argument("ColorSamplingCount: colors must be >= 2");
-  if (config.repeats < 1)
-    throw std::invalid_argument("ColorSamplingCount: repeats must be >= 1");
-  if (k < 2)
-    throw std::invalid_argument("ColorSamplingCount: k must be >= 2");
-
-  Timer timer;
-  const NodeId n = g.NumNodes();
-  // Scale factor colors^(k-1), saturating.
-  uint128 scale = 1;
-  for (std::uint32_t i = 0; i + 1 < k; ++i)
-    scale = SatMul(scale, config.colors);
-
-  std::vector<double> estimates;
-  Rng rng(config.seed);
-  std::vector<std::uint8_t> color(n);
-  for (int rep = 0; rep < config.repeats; ++rep) {
-    for (NodeId v = 0; v < n; ++v)
-      color[v] = static_cast<std::uint8_t>(rng.Below(config.colors));
-    EdgeList kept;
-    for (NodeId u = 0; u < n; ++u)
-      for (NodeId v : g.Neighbors(u))
-        if (u < v && color[u] == color[v]) kept.emplace_back(u, v);
-    const Graph sparse = BuildUndirected(std::move(kept), n);
-    const Graph dag =
-        Directionalize(sparse, DegreeOrdering(sparse).ranks);
-    CountOptions options;
-    options.k = k;
-    options.num_threads = config.num_threads;
-    const BigCount mono = CountCliques(dag, options).total;
-    estimates.push_back(ToDouble(mono.value()) * ToDouble(scale));
-  }
-
-  ApproxCountResult result;
-  result.roots_total = n;
-  result.roots_sampled =
-      static_cast<std::uint64_t>(config.repeats);  // colorings, here
-  double mean = 0;
-  for (double e : estimates) mean += e;
-  mean /= static_cast<double>(estimates.size());
-  double var = 0;
-  for (double e : estimates) var += (e - mean) * (e - mean);
-  if (estimates.size() > 1)
-    var /= static_cast<double>(estimates.size() - 1);
-  result.estimate_double = mean;
-  result.estimate = BigCount{static_cast<uint128>(std::max(0.0, mean))};
-  result.relative_std_error =
-      mean > 0
-          ? std::sqrt(var / static_cast<double>(estimates.size())) / mean
-          : 0;
   result.seconds = timer.Seconds();
   return result;
 }

@@ -45,23 +45,6 @@ struct ApproxCountResult {
 ApproxCountResult ApproxCountKCliques(const Graph& dag, std::uint32_t k,
                                       const ApproxCountConfig& config = {});
 
-// Color sparsification (the color-based sampling family of Section VII):
-// each vertex gets one of `colors` uniform colors; only monochromatic
-// edges survive; a k-clique survives with probability colors^-(k-1), so
-// the exact count of the sparsified graph times colors^(k-1) is unbiased.
-// `repeats` independent colorings are averaged and the sample standard
-// error reported.
-struct ColorSamplingConfig {
-  std::uint32_t colors = 4;
-  int repeats = 5;
-  std::uint64_t seed = 1;
-  int num_threads = 0;
-};
-
-// Takes the *undirected* graph (sparsification changes the DAG).
-ApproxCountResult ColorSamplingCount(const Graph& g, std::uint32_t k,
-                                     const ColorSamplingConfig& config = {});
-
 }  // namespace pivotscale
 
 #endif  // PIVOTSCALE_APPROX_APPROX_COUNT_H_

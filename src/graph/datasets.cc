@@ -187,12 +187,4 @@ Dataset MakeDataset(const std::string& name, double scale) {
   throw std::invalid_argument("MakeDataset: unknown dataset " + name);
 }
 
-std::vector<Dataset> MakeDatasetSuite(double scale) {
-  std::vector<Dataset> suite;
-  suite.reserve(DatasetNames().size());
-  for (const std::string& name : DatasetNames())
-    suite.push_back(MakeDataset(name, scale));
-  return suite;
-}
-
 }  // namespace pivotscale

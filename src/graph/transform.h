@@ -1,7 +1,5 @@
-// Graph transformations: preprocessing utilities a clique-counting
-// workflow needs around the core pipeline — restricting to the dense part
-// of a graph (k-core extraction), cutting out vertex-induced subgraphs,
-// isolating the largest component, and composing test graphs.
+// Graph transformations around the core pipeline: cutting out
+// vertex-induced subgraphs and composing test graphs.
 #ifndef PIVOTSCALE_GRAPH_TRANSFORM_H_
 #define PIVOTSCALE_GRAPH_TRANSFORM_H_
 
@@ -23,16 +21,6 @@ struct InducedResult {
 // renumbered compactly in the order given.
 InducedResult InduceSubgraph(const Graph& g,
                              std::span<const NodeId> vertices);
-
-// The k-core: the maximal subgraph where every vertex has degree >= k.
-// Returns an empty graph if no vertex survives.
-InducedResult ExtractKCore(const Graph& g, EdgeId k);
-
-// The largest connected component (ties broken by lowest contained id).
-InducedResult LargestConnectedComponent(const Graph& g);
-
-// Per-vertex component ids (0-based, in order of discovery from vertex 0).
-std::vector<NodeId> ConnectedComponents(const Graph& g);
 
 // Disjoint union: b's vertices are shifted by a.NumNodes(). Clique counts
 // add across a disjoint union, which the tests exploit as an invariant.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "exec/executor.h"
 #include "pivot/subgraph_bitmap.h"
@@ -10,7 +9,6 @@
 #include "pivot/subgraph_remap.h"
 #include "pivot/subgraph_sparse.h"
 #include "util/check.h"
-#include "util/stats.h"
 #include "util/telemetry.h"
 #include "util/timer.h"
 
@@ -46,42 +44,29 @@ struct CountTask {
   static constexpr std::uint32_t kWholeRoot = 0xffffffffu;
 };
 
-// Dumps one finished driver run into the registry: per-thread series, op
-// totals, and load-balance gauges. `items` is the number of top-level work
-// items under `item_counter` ("count.roots" / "count.edge_owners").
+// Dumps one finished driver run into the registry: work items, dynamic
+// chunks, op totals and the workspace gauge. The per-worker series, the
+// team size, the busy-time CoV and the region wall are the executor's
+// exec.* names for the same region.
 void RecordCountTelemetry(TelemetryRegistry* telemetry,
                           const CountResult& result,
-                          const ExecStats& exec_stats, std::uint64_t items,
-                          const char* item_counter) {
+                          const ExecStats& exec_stats, std::uint64_t roots) {
   if (telemetry == nullptr) return;
-  telemetry->SetSeries("count.thread_busy_seconds",
-                       result.thread_busy_seconds);
-  std::vector<double> chunk_series(exec_stats.worker_chunks.size());
-  for (std::size_t t = 0; t < exec_stats.worker_chunks.size(); ++t)
-    chunk_series[t] = static_cast<double>(exec_stats.worker_chunks[t]);
-  telemetry->SetSeries("count.thread_chunks", std::move(chunk_series));
   telemetry->AddCounter("count.chunks", exec_stats.chunks);
-  telemetry->AddCounter("count.splits", exec_stats.splits);
-  telemetry->AddCounter(item_counter, items);
+  telemetry->AddCounter("count.roots", roots);
   telemetry->AddCounter("count.recursion_calls", result.ops.calls);
   telemetry->AddCounter("count.edge_ops", result.ops.edge_ops);
   telemetry->AddCounter("count.induces", result.ops.induces);
   telemetry->AddCounter("count.memberships", result.ops.memberships);
-  telemetry->SetGauge("count.threads",
-                      static_cast<double>(result.thread_busy_seconds.size()));
   telemetry->SetGauge("count.workspace_bytes",
                       static_cast<double>(result.workspace_bytes));
-  telemetry->SetGauge("count.busy_cov",
-                      CoeffOfVariation(result.thread_busy_seconds));
-  telemetry->RecordSpan("count.wall", result.seconds);
 }
 
 // The driver body, instantiated per (structure, stats policy) pair. One
 // exec-layer region over the task list; each worker owns a PivotCounter
 // (its reduction slot) and the merge runs serially after the region.
 template <typename SG, typename Stats>
-CountResult Run(const Graph& dag, const CountOptions& options,
-                const char* item_counter) {
+CountResult Run(const Graph& dag, const CountOptions& options) {
   // Long-tail splitting needs first-level pair builds, which only the
   // remap and bitmap structures implement.
   constexpr bool kCanSplit =
@@ -191,43 +176,20 @@ CountResult Run(const Graph& dag, const CountOptions& options,
                        ? result.per_size[options.k]
                        : BigCount{};
   }
-  RecordCountTelemetry(options.telemetry, result, exec_stats, n,
-                       item_counter);
+  RecordCountTelemetry(options.telemetry, result, exec_stats, n);
   return result;
 }
 
 template <typename SG>
-CountResult Dispatch(const Graph& dag, const CountOptions& options,
-                     const char* item_counter) {
+CountResult Dispatch(const Graph& dag, const CountOptions& options) {
   // Telemetry wants the op totals, so it rides the counting stats policy.
   if (options.collect_op_stats || options.collect_work_trace ||
       options.telemetry != nullptr)
-    return Run<SG, OpCountStats>(dag, options, item_counter);
-  return Run<SG, NoStats>(dag, options, item_counter);
+    return Run<SG, OpCountStats>(dag, options);
+  return Run<SG, NoStats>(dag, options);
 }
 
 }  // namespace
-
-CountResult CountCliquesEdgeParallel(const Graph& dag,
-                                     const CountOptions& options) {
-  if (dag.undirected())
-    throw std::invalid_argument(
-        "CountCliquesEdgeParallel: expected a directionalized DAG");
-  if (options.collect_work_trace)
-    throw std::invalid_argument(
-        "CountCliquesEdgeParallel: per-root work traces are vertex-mode "
-        "only");
-  if (options.per_vertex && options.mode != CountMode::kSingleK)
-    throw std::invalid_argument(
-        "CountCliquesEdgeParallel: per-vertex counts require kSingleK");
-  if (options.k < 1)
-    throw std::invalid_argument("CountCliquesEdgeParallel: k must be >= 1");
-
-  CountOptions edge_options = options;
-  edge_options.structure = SubgraphKind::kRemap;
-  edge_options.split_threshold = 0;  // split every root with out-edges
-  return Dispatch<RemapSubgraph>(dag, edge_options, "count.edge_owners");
-}
 
 CountResult CountCliques(const Graph& dag, const CountOptions& options) {
   if (dag.undirected())
@@ -242,13 +204,13 @@ CountResult CountCliques(const Graph& dag, const CountOptions& options) {
 
   switch (options.structure) {
     case SubgraphKind::kDense:
-      return Dispatch<DenseSubgraph>(dag, options, "count.roots");
+      return Dispatch<DenseSubgraph>(dag, options);
     case SubgraphKind::kSparse:
-      return Dispatch<SparseSubgraph>(dag, options, "count.roots");
+      return Dispatch<SparseSubgraph>(dag, options);
     case SubgraphKind::kRemap:
-      return Dispatch<RemapSubgraph>(dag, options, "count.roots");
+      return Dispatch<RemapSubgraph>(dag, options);
     case SubgraphKind::kBitmap:
-      return Dispatch<BitmapSubgraph>(dag, options, "count.roots");
+      return Dispatch<BitmapSubgraph>(dag, options);
   }
   throw std::invalid_argument("CountCliques: unknown subgraph structure");
 }

@@ -72,10 +72,11 @@ struct CountOptions {
   // attributed per root). 0 splits every root with out-edges (the full
   // edge-parallel decomposition); kNeverSplit disables splitting.
   std::uint64_t split_threshold = kDefaultSplitThreshold;
-  // When non-null, the driver records "count.*" metrics into this registry:
-  // per-thread busy-second and chunk-count series, work-item and dynamic-
-  // chunk counters, recursion-op totals (implies op-stat collection), and
-  // workspace/thread-count gauges. Not owned; must outlive the call.
+  // When non-null, the driver records "count.*" metrics into this registry
+  // (work-item and dynamic-chunk counters, recursion-op totals, which
+  // imply op-stat collection, and the workspace gauge), and its exec
+  // region records the per-worker "exec.*" series. Not owned; must
+  // outlive the call.
   TelemetryRegistry* telemetry = nullptr;
 };
 
@@ -105,17 +106,6 @@ struct CountResult {
 // Counts cliques on a directionalized DAG. The DAG must come from
 // Directionalize() (each undirected edge stored once, acyclic).
 CountResult CountCliques(const Graph& dag, const CountOptions& options);
-
-// Edge-parallel counting (GPU-Pivot's finer-grained work decomposition):
-// every root splits into its first-level edge subtasks — each counts the
-// cliques whose two lowest-ranked members are that edge. Better load
-// balance on skewed graphs at the cost of one intersection per edge.
-// Since the exec-layer refactor this is CountCliques with
-// split_threshold = 0 on the remap structure; per-root work traces are
-// not supported (work is per edge).
-// k = 1 is answered directly (the vertex count).
-CountResult CountCliquesEdgeParallel(const Graph& dag,
-                                     const CountOptions& options);
 
 }  // namespace pivotscale
 

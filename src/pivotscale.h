@@ -16,11 +16,9 @@
 
 #include "analysis/analysis.h"
 #include "analysis/densest.h"
-#include "analysis/ktruss.h"
 #include "approx/approx_count.h"
 #include "baselines/enumeration.h"
 #include "baselines/gpu_pivot_model.h"
-#include "baselines/pivoter_naive.h"
 #include "graph/builder.h"
 #include "graph/dag.h"
 #include "graph/datasets.h"
@@ -30,7 +28,6 @@
 #include "graph/transform.h"
 #include "order/approx_core_order.h"
 #include "order/centrality_order.h"
-#include "order/coloring_order.h"
 #include "order/core_order.h"
 #include "order/degree_order.h"
 #include "order/heuristic.h"
@@ -40,7 +37,6 @@
 #include "pivot/hybrid.h"
 #include "pivot/maximal.h"
 #include "pivot/pivoter.h"
-#include "pivot/profile.h"
 #include "pivot/pivotscale.h"
 #include "sim/cache_sim.h"
 #include "sim/mem_model.h"

@@ -80,25 +80,4 @@ std::string RenderChart(const std::vector<std::string>& x_labels,
   return out.str();
 }
 
-std::string RenderBars(const std::vector<std::string>& labels,
-                       const std::vector<double>& values, int width) {
-  if (labels.empty()) return "";
-  std::size_t label_width = 0;
-  for (const auto& l : labels) label_width = std::max(label_width, l.size());
-  double hi = 0;
-  for (double v : values) hi = std::max(hi, v);
-  if (hi <= 0) hi = 1;
-
-  std::ostringstream out;
-  char buf[32];
-  for (std::size_t i = 0; i < labels.size() && i < values.size(); ++i) {
-    const int bars = static_cast<int>(
-        std::lround(values[i] / hi * width));
-    std::snprintf(buf, sizeof(buf), "%10.3g ", values[i]);
-    out << std::string(label_width - labels[i].size(), ' ') << labels[i]
-        << " |" << std::string(bars, '#') << " " << buf << "\n";
-  }
-  return out.str();
-}
-
 }  // namespace pivotscale

@@ -32,10 +32,6 @@ std::string RenderChart(const std::vector<std::string>& x_labels,
                         const std::vector<ChartSeries>& series,
                         const ChartOptions& options = {});
 
-// Renders a horizontal bar chart of labeled values (linear scale).
-std::string RenderBars(const std::vector<std::string>& labels,
-                       const std::vector<double>& values, int width = 50);
-
 }  // namespace pivotscale
 
 #endif  // PIVOTSCALE_UTIL_ASCII_CHART_H_

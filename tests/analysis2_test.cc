@@ -1,83 +1,16 @@
-// Tests for the second wave of analysis/counting features: k-truss
-// decomposition, k-clique densest subgraph, edge-parallel counting, and
-// the Watts-Strogatz generator.
+// Tests for the second wave of analysis features: k-clique densest
+// subgraph and the Watts-Strogatz generator.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
+#include <stdexcept>
 
 #include "analysis/densest.h"
-#include "analysis/ktruss.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
-#include "pivot/count.h"
-#include "test_helpers.h"
 #include "util/binomial.h"
 
 namespace pivotscale {
 namespace {
-
-using testing_helpers::BruteForceCount;
-using testing_helpers::MakeDag;
-
-// ---------------------------------------------------------------- k-truss
-
-TEST(KTruss, CompleteGraphTrussness) {
-  // Every edge of K_n is in the n-truss (n-2 triangles per edge).
-  const Graph g = BuildGraph(CompleteGraph(6));
-  const TrussDecomposition d = ComputeTrussDecomposition(g);
-  EXPECT_EQ(d.max_trussness, 6u);
-  for (std::uint32_t t : d.trussness) EXPECT_EQ(t, 6u);
-}
-
-TEST(KTruss, TreeEdgesAreTwoTruss) {
-  const Graph g = BuildGraph(PathGraph(10));
-  const TrussDecomposition d = ComputeTrussDecomposition(g);
-  EXPECT_EQ(d.max_trussness, 2u);
-  for (std::uint32_t t : d.trussness) EXPECT_EQ(t, 2u);
-}
-
-TEST(KTruss, PlantedCliqueDominates) {
-  EdgeList edges = PathGraph(60);
-  PlantCliques(&edges, 60, 1, 8, 8, 3);
-  const Graph g = BuildGraph(std::move(edges));
-  const TrussDecomposition d = ComputeTrussDecomposition(g);
-  EXPECT_EQ(d.max_trussness, 8u);
-  // Exactly the clique's C(8,2) = 28 edges reach trussness 8 (path edges
-  // incident to clique members stay low).
-  int count8 = 0;
-  for (std::uint32_t t : d.trussness)
-    if (t == 8) ++count8;
-  EXPECT_GE(count8, 28);
-  EXPECT_LE(count8, 30);  // allow path edges that happen to close triangles
-}
-
-TEST(KTruss, KTrussEdgesFilters) {
-  EdgeList edges = CompleteGraph(5);  // K_5 over ids 0..4
-  edges.emplace_back(4, 5);           // pendant edge
-  const Graph g = BuildGraph(std::move(edges));
-  EXPECT_EQ(KTrussEdges(g, 2).size(), 11u);  // everything
-  EXPECT_EQ(KTrussEdges(g, 5).size(), 10u);  // just the K_5
-  EXPECT_TRUE(KTrussEdges(g, 6).empty());
-}
-
-TEST(KTruss, TrussContainsEveryKClique) {
-  // Each k-clique's edges all have trussness >= k: verify counts survive
-  // restriction to the k-truss.
-  EdgeList edges = GnM(80, 400, 5);
-  PlantCliques(&edges, 80, 2, 6, 8, 6);
-  const Graph g = BuildGraph(std::move(edges));
-  const std::uint32_t k = 5;
-  const Graph truss = BuildUndirected(KTrussEdges(g, k), g.NumNodes());
-  EXPECT_EQ(BruteForceCount(g, k), BruteForceCount(truss, k));
-}
-
-TEST(KTruss, EmptyGraph) {
-  const Graph g = BuildGraph({});
-  const TrussDecomposition d = ComputeTrussDecomposition(g);
-  EXPECT_TRUE(d.edges.empty());
-  EXPECT_EQ(d.max_trussness, 2u);
-}
 
 // ---------------------------------------------------------------- densest
 
@@ -114,57 +47,6 @@ TEST(Densest, ValidatesArguments) {
   DensestSubgraphConfig config;
   config.peel_fraction = 0;
   EXPECT_THROW(KCliqueDensestSubgraph(g, 3, config),
-               std::invalid_argument);
-}
-
-// ------------------------------------------------------- edge parallel
-
-TEST(EdgeParallel, MatchesVertexParallelOnSweep) {
-  for (int seed : {11, 12}) {
-    const Graph g = BuildGraph(ErdosRenyi(40, 0.4, seed));
-    const Graph dag = MakeDag(g, OrderingKind::kCore);
-    for (std::uint32_t k : {1u, 2u, 3u, 5u, 7u}) {
-      CountOptions options;
-      options.k = k;
-      EXPECT_EQ(CountCliquesEdgeParallel(dag, options).total,
-                CountCliques(dag, options).total)
-          << "seed=" << seed << " k=" << k;
-    }
-  }
-}
-
-TEST(EdgeParallel, AllKMatchesVertexMode) {
-  EdgeList edges = GnM(60, 400, 13);
-  PlantCliques(&edges, 60, 1, 8, 8, 14);
-  const Graph g = BuildGraph(std::move(edges));
-  const Graph dag = MakeDag(g, OrderingKind::kDegree);
-  CountOptions options;
-  options.mode = CountMode::kAllK;
-  const CountResult vertex = CountCliques(dag, options);
-  const CountResult edge = CountCliquesEdgeParallel(dag, options);
-  ASSERT_EQ(vertex.per_size.size(), edge.per_size.size());
-  for (std::size_t s = 1; s < vertex.per_size.size(); ++s)
-    EXPECT_EQ(vertex.per_size[s], edge.per_size[s]) << s;
-}
-
-TEST(EdgeParallel, PerVertexMatches) {
-  const Graph g = BuildGraph(ErdosRenyi(30, 0.5, 15));
-  const Graph dag = MakeDag(g, OrderingKind::kCore);
-  CountOptions options;
-  options.k = 4;
-  options.per_vertex = true;
-  const CountResult vertex = CountCliques(dag, options);
-  const CountResult edge = CountCliquesEdgeParallel(dag, options);
-  for (NodeId v = 0; v < g.NumNodes(); ++v)
-    EXPECT_EQ(vertex.per_vertex[v], edge.per_vertex[v]) << v;
-}
-
-TEST(EdgeParallel, RejectsWorkTrace) {
-  const Graph g = BuildGraph(CompleteGraph(4));
-  const Graph dag = MakeDag(g, OrderingKind::kDegree);
-  CountOptions options;
-  options.collect_work_trace = true;
-  EXPECT_THROW(CountCliquesEdgeParallel(dag, options),
                std::invalid_argument);
 }
 

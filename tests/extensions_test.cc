@@ -1,21 +1,19 @@
 // Tests for the extension modules: hybrid counting, approximate counting,
-// coloring ordering, graph transforms, and the analysis utilities.
+// graph transforms, and the degree histogram.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analysis/analysis.h"
 #include "approx/approx_count.h"
 #include "graph/builder.h"
-#include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/transform.h"
-#include "order/coloring_order.h"
 #include "pivot/count.h"
 #include "pivot/hybrid.h"
 #include "test_helpers.h"
-#include "util/binomial.h"
 
 namespace pivotscale {
 namespace {
@@ -124,44 +122,6 @@ TEST(ApproxCount, ValidatesArguments) {
   EXPECT_THROW(ApproxCountKCliques(dag, 3, config), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------- coloring
-
-TEST(Coloring, ProperColoring) {
-  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    const Graph g = BuildGraph(Rmat(8, 6.0, seed));
-    const auto color = GreedyColoring(g);
-    for (NodeId u = 0; u < g.NumNodes(); ++u)
-      for (NodeId v : g.Neighbors(u)) EXPECT_NE(color[u], color[v]);
-  }
-}
-
-TEST(Coloring, CompleteGraphNeedsNColors) {
-  const Graph g = BuildGraph(CompleteGraph(7));
-  const auto color = GreedyColoring(g);
-  std::set<NodeId> distinct(color.begin(), color.end());
-  EXPECT_EQ(distinct.size(), 7u);
-}
-
-TEST(Coloring, BipartiteUsesTwoColors) {
-  const Graph g = BuildGraph(CompleteBipartite(5, 6));
-  const auto color = GreedyColoring(g);
-  std::set<NodeId> distinct(color.begin(), color.end());
-  EXPECT_EQ(distinct.size(), 2u);
-}
-
-TEST(Coloring, OrderingIsValidAndCounts) {
-  EdgeList edges = GnM(80, 400, 13);
-  PlantCliques(&edges, 80, 2, 5, 8, 14);
-  const Graph g = BuildGraph(std::move(edges));
-  const Ordering o = ColoringOrdering(g);
-  EXPECT_TRUE(IsPermutation(o.ranks));
-  const Graph dag = Directionalize(g, o.ranks);
-  CountOptions options;
-  options.k = 4;
-  EXPECT_EQ(CountCliques(dag, options).total.value(),
-            static_cast<uint128>(BruteForceCount(g, 4)));
-}
-
 // ---------------------------------------------------------------- transforms
 
 TEST(Transform, InducedSubgraphBasics) {
@@ -181,43 +141,6 @@ TEST(Transform, InducedSubgraphIgnoresDuplicates) {
   EXPECT_EQ(r.graph.NumUndirectedEdges(), 1u);
 }
 
-TEST(Transform, ExtractKCorePeelsTree) {
-  // A 6-clique with pendant paths: the 3-core is exactly the clique.
-  EdgeList edges = CompleteGraph(6);
-  for (NodeId i = 0; i < 6; ++i) edges.emplace_back(i, 6 + i);
-  const Graph g = BuildGraph(std::move(edges));
-  const InducedResult core3 = ExtractKCore(g, 3);
-  EXPECT_EQ(core3.graph.NumNodes(), 6u);
-  EXPECT_EQ(core3.graph.NumUndirectedEdges(), 15u);
-  const InducedResult core7 = ExtractKCore(g, 7);
-  EXPECT_EQ(core7.graph.NumNodes(), 0u);
-}
-
-TEST(Transform, KCorePreservesCliqueCounts) {
-  // Every k-clique lives inside the (k-1)-core, so counts must match.
-  EdgeList edges = GnM(120, 500, 15);
-  PlantCliques(&edges, 120, 2, 6, 9, 16);
-  const Graph g = BuildGraph(std::move(edges));
-  const std::uint32_t k = 5;
-  const InducedResult core = ExtractKCore(g, k - 1);
-  EXPECT_EQ(BruteForceCount(g, k), BruteForceCount(core.graph, k));
-}
-
-TEST(Transform, ConnectedComponentsAndLargest) {
-  // Two components: a K_4 and a path of 3.
-  EdgeList edges = CompleteGraph(4);
-  edges.emplace_back(4, 5);
-  edges.emplace_back(5, 6);
-  const Graph g = BuildUndirected(std::move(edges), 7);
-  const auto comp = ConnectedComponents(g);
-  EXPECT_EQ(comp[0], comp[3]);
-  EXPECT_EQ(comp[4], comp[6]);
-  EXPECT_NE(comp[0], comp[4]);
-  const InducedResult lcc = LargestConnectedComponent(g);
-  EXPECT_EQ(lcc.graph.NumNodes(), 4u);
-  EXPECT_EQ(lcc.graph.NumUndirectedEdges(), 6u);
-}
-
 TEST(Transform, DisjointUnionAddsCliqueCounts) {
   const Graph a = BuildGraph(CompleteGraph(7));
   const Graph b = BuildGraph(ErdosRenyi(25, 0.4, 17));
@@ -231,35 +154,6 @@ TEST(Transform, DisjointUnionAddsCliqueCounts) {
 
 // ---------------------------------------------------------------- analysis
 
-TEST(Analysis, TrianglesClosedForms) {
-  EXPECT_EQ(CountTriangles(BuildGraph(CompleteGraph(10))),
-            static_cast<std::uint64_t>(
-                ToDouble(BinomialChoose(10, 3))));
-  EXPECT_EQ(CountTriangles(BuildGraph(PathGraph(30))), 0u);
-  EXPECT_EQ(CountTriangles(BuildGraph(CompleteBipartite(4, 5))), 0u);
-}
-
-TEST(Analysis, TrianglesMatchPivoterK3) {
-  EdgeList edges = Rmat(10, 8.0, 19);
-  PlantCliques(&edges, 1024, 5, 5, 9, 20);
-  const Graph g = BuildGraph(std::move(edges));
-  const Graph dag = MakeDag(g, OrderingKind::kCore);
-  CountOptions options;
-  options.k = 3;
-  EXPECT_EQ(static_cast<uint128>(CountTriangles(g)),
-            CountCliques(dag, options).total.value());
-}
-
-TEST(Analysis, ClusteringCoefficients) {
-  // K_4: fully clustered.
-  const Graph k4 = BuildGraph(CompleteGraph(4));
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(k4), 1.0);
-  EXPECT_DOUBLE_EQ(AverageLocalClusteringCoefficient(k4), 1.0);
-  // Star: no triangles.
-  const Graph star = BuildGraph(StarGraph(10));
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(star), 0.0);
-}
-
 TEST(Analysis, Log2HistogramBuckets) {
   const std::vector<EdgeId> values = {0, 1, 2, 3, 4, 7, 8, 100};
   const auto hist = Log2Histogram(values);
@@ -269,23 +163,6 @@ TEST(Analysis, Log2HistogramBuckets) {
   EXPECT_EQ(hist[2], 2u);  // 4, 7
   EXPECT_EQ(hist[3], 1u);  // 8
   EXPECT_EQ(hist[6], 1u);  // 100
-}
-
-TEST(Analysis, AssortativityExtremes) {
-  // A star is maximally disassortative.
-  EXPECT_LT(DegreeAssortativity(BuildGraph(StarGraph(20))), -0.9);
-  // A clique is degree-regular: correlation degenerates to 0 by
-  // convention (zero variance).
-  EXPECT_DOUBLE_EQ(DegreeAssortativity(BuildGraph(CompleteGraph(8))), 0.0);
-}
-
-TEST(Analysis, AssortativityMatchesHeuristicIntuition) {
-  // Hub-to-hub structure (assortative analog) scores higher than a
-  // star-heavy one (disassortative).
-  const Dataset social = MakeDataset("orkut-like", 0.05);
-  const Dataset stars = MakeDataset("wikitalk-like", 0.05);
-  EXPECT_GT(DegreeAssortativity(social.graph),
-            DegreeAssortativity(stars.graph));
 }
 
 }  // namespace

@@ -173,12 +173,15 @@ TEST(RunReport, PipelineProducesFullSchema) {
        {"heuristic", "ordering", "directionalize", "counting"})
     EXPECT_TRUE(reg.HasSpan(phase)) << phase;
 
-  // Per-thread busy times land in a series of the actual team size.
+  // Per-thread busy times land in a series of the actual team size; the
+  // counting region is the pipeline's last, so the executor's series
+  // holds its team.
   const JsonValue* busy =
-      doc.Find("series")->Find("count.thread_busy_seconds");
+      doc.Find("series")->Find("exec.worker_busy_seconds");
   ASSERT_NE(busy, nullptr);
   ASSERT_TRUE(busy->IsArray());
-  EXPECT_EQ(busy->array.size(), result.count.thread_busy_seconds.size());
+  const CountResult& counted = result.count;
+  EXPECT_EQ(busy->array.size(), counted.thread_busy_seconds.size());
   EXPECT_GE(busy->array.size(), 1u);
 
   // Op counters come from the OpCountStats policy (telemetry implies it).
@@ -197,7 +200,7 @@ TEST(RunReport, PipelineProducesFullSchema) {
   const JsonValue* gauges = doc.Find("gauges");
   for (const char* name :
        {"heuristic.max_degree", "heuristic.a_ratio", "ordering.rounds",
-        "directionalize.max_out_degree", "count.threads",
+        "directionalize.max_out_degree", "exec.team",
         "count.workspace_bytes"})
     ASSERT_NE(gauges->Find(name), nullptr) << name;
   EXPECT_DOUBLE_EQ(gauges->Find("directionalize.max_out_degree")->number,
@@ -212,23 +215,47 @@ TEST(RunReport, EdgeParallelDriverRecords) {
   TelemetryRegistry reg;
   CountOptions options;
   options.k = 4;
+  options.split_threshold = 0;  // every root with out-edges splits
   options.telemetry = &reg;
-  const CountResult result = CountCliquesEdgeParallel(dag, options);
+  const CountResult result = CountCliques(dag, options);
   EXPECT_EQ(result.total.value(), static_cast<uint128>(4845));  // C(20,4)
 
-  EXPECT_EQ(reg.Counter("count.edge_owners"), 20u);
+  EXPECT_EQ(reg.Counter("count.roots"), 20u);
+  // K20 under a total order: 19 roots have out-edges, the last has none.
+  EXPECT_EQ(reg.Counter("exec.splits"), 19u);
   EXPECT_GT(reg.Counter("count.recursion_calls"), 0u);
-  EXPECT_EQ(reg.Series("count.thread_busy_seconds").size(),
+  EXPECT_EQ(reg.Series("exec.worker_busy_seconds").size(),
             result.thread_busy_seconds.size());
+}
+
+TEST(RunReport, PipelineImbalanceSummaryHasOneBusyBlock) {
+  // Each per-worker busy-time fact has one name: the counting region's
+  // series is the executor's, not a count.* copy of it.
+  EdgeList edges = GnM(300, 1500, 4);
+  PlantCliques(&edges, 300, 2, 6, 8, 5);
+  const Graph g = BuildGraph(std::move(edges));
+
+  TelemetryRegistry reg;
+  PivotScaleOptions options;
+  options.k = 4;
+  options.telemetry = &reg;
+  CountKCliques(g, options);
+
+  const std::string summary = LoadImbalanceSummary(reg);
+  std::size_t blocks = 0;
+  for (std::size_t at = summary.find("busy_seconds ("); at != std::string::npos;
+       at = summary.find("busy_seconds (", at + 1))
+    ++blocks;
+  EXPECT_EQ(blocks, 1u) << summary;
 }
 
 TEST(RunReport, WriteAndImbalanceSummary) {
   TelemetryRegistry reg;
-  reg.SetSeries("count.thread_busy_seconds", {1.0, 0.5, 0.25});
+  reg.SetSeries("exec.worker_busy_seconds", {1.0, 0.5, 0.25});
   reg.AddCounter("count.roots", 10);
 
   const std::string summary = LoadImbalanceSummary(reg);
-  EXPECT_NE(summary.find("count.thread_busy_seconds"), std::string::npos);
+  EXPECT_NE(summary.find("exec.worker_busy_seconds"), std::string::npos);
   EXPECT_NE(summary.find("CoV"), std::string::npos);
   EXPECT_NE(summary.find("3 threads"), std::string::npos);
 
